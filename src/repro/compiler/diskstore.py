@@ -7,7 +7,7 @@ underneath it: a content-addressed directory of serialized artifacts,
 keyed by the *same* ``digest + pipeline-fingerprint`` discipline as the
 memory tier (one file per ``(kind, key)``), so a fresh process mounting
 a populated directory warm-starts every stage — parse through codegen,
-including the event-scheduled and batched kinds.
+including the batched kind.
 
 Design points, in the order they matter:
 

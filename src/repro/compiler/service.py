@@ -36,9 +36,8 @@ KIND_PARSE = "parse"
 KIND_SOURCE = "source"      # raw-text alias → compiled program
 KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
-KIND_CODEGEN = "codegen"    # always-sweep scheduling (the oracle baseline)
-KIND_EVENT = "event"        # event-driven activity scheduling
-KIND_BATCH = "batch"        # vectorized cohort closures (BatchedModuleCode)
+KIND_CODEGEN = "codegen"    # compiled-simulator code (CompiledModuleCode)
+KIND_BATCH = "batch"        # vectorized closures over a codegen artifact
 KIND_SYNTH = "synth"
 KIND_BITSTREAM = "bitstream"
 
@@ -123,8 +122,7 @@ class CompilerService:
     def codegen(self, module: ast.Module, env=None,
                 digest: Optional[str] = None,
                 opt_level: Optional[int] = None,
-                keep: "frozenset[str]" = frozenset(),
-                event: Optional[bool] = None):
+                keep: "frozenset[str]" = frozenset()):
         """Shareable compiled-simulator code for *module*.
 
         *digest* must content-address the module's deterministic text;
@@ -133,27 +131,21 @@ class CompilerService:
         nothing is re-printed.  The artifact key pairs the digest with
         the mid-end pipeline fingerprint of the effective
         ``opt_level``, so differently-optimized code objects of one
-        program coexist and are shared independently.  *event* selects
-        the scheduling strategy (default: ``REPRO_SIM_EVENT``); event-
-        scheduled code is a distinct artifact kind under the same key
-        discipline, so both schedulers of one program coexist — the
-        differential oracle compares exactly those two artifacts.  The
-        returned :class:`~repro.interp.compile.CompiledModuleCode` is
-        immutable and shared: each engine instantiates its own state
-        against it.
+        program coexist and are shared independently.  The returned
+        :class:`~repro.interp.compile.CompiledModuleCode` is immutable
+        and shared: each engine instantiates its own state against it.
         """
-        from ..interp.compile import CompiledModuleCode, resolve_sim_event
+        from ..interp.compile import CompiledModuleCode
         from ..opt import pipeline_fingerprint, resolve_opt_level
 
         level = resolve_opt_level(opt_level)
-        use_event = resolve_sim_event(event)
         if digest is None:
             digest = text_digest(print_module(module))
         key = f"{digest}\x00{pipeline_fingerprint(level)}"
         return self.store.get_or_build(
-            KIND_EVENT if use_event else KIND_CODEGEN, key,
+            KIND_CODEGEN, key,
             lambda: CompiledModuleCode(
-                module, env=env, event=use_event,
+                module, env=env,
                 opt=self.optimize(module, env=env, digest=digest,
                                   opt_level=level, keep=keep)),
         )
@@ -166,12 +158,13 @@ class CompilerService:
               keep: "frozenset[str]" = frozenset()):
         """Shareable vectorized cohort closures for *module*.
 
-        Layered on :meth:`codegen`: the scalar code artifact supplies
-        the static schedule the vector emitter licenses against, so the
-        key is the codegen key plus a ``batch`` discriminator.  Raises
-        :class:`~repro.interp.compile.batch.UnsupportedBackend` without
-        NumPy and :class:`~repro.interp.compile.batch.BatchUnsupported`
-        for modules outside the vector subset — only successful builds
+        Layered on :meth:`codegen`: the vector emitter licenses against
+        (and cohorts boot lanes from) the one scalar code artifact, so
+        the key is the codegen key plus a ``batch`` discriminator.
+        Raises :class:`~repro.interp.compile.batch.UnsupportedBackend`
+        without NumPy and
+        :class:`~repro.interp.compile.batch.BatchUnsupported` for
+        modules outside the vector subset — only successful builds
         are interned (failures are memoized cheaply per code artifact
         by :func:`~repro.interp.compile.batch.batch_code_for`).
         """
@@ -185,11 +178,8 @@ class CompilerService:
         return self.store.get_or_build(
             KIND_BATCH, key,
             lambda: batch_code_for(
-                # The vector emitter licenses against the static sweep
-                # plan, which event scheduling displaces — batch always
-                # layers on the always-sweep artifact.
                 self.codegen(module, env=env, digest=digest,
-                             opt_level=level, keep=keep, event=False)),
+                             opt_level=level, keep=keep)),
         )
 
     # -- synthesis ---------------------------------------------------------
@@ -242,7 +232,6 @@ class CompilerService:
         return {
             "opt": self.store.contains(KIND_OPT, staged),
             "codegen": self.store.contains(KIND_CODEGEN, staged),
-            "event": self.store.contains(KIND_EVENT, staged),
             "batch": self.store.contains(KIND_BATCH, staged + "\x00batch"),
         }
 

@@ -4,7 +4,9 @@ Runs one program through every execution path the stack offers and
 compares the observable behaviour bit-for-bit:
 
 * ``interp`` — the reference tree-walking interpreter (the oracle);
-* ``compiled`` — the compile-to-closures simulation backend;
+* ``compiled`` — the compile-to-closures simulation backend (its one
+  scheduling plan: event-driven activity dispatch, or the
+  interpreter-identical fifo queue for impure-assign designs);
 * ``batched`` — the NumPy-vectorized cohort backend (degenerate N=1
   cohort; silently the scalar compiled engine for modules outside the
   vector subset), a default lane whenever NumPy is importable;
@@ -43,13 +45,10 @@ from ..runtime import DirectBoardBackend, Runtime
 from ..verilog import ast_nodes as ast
 
 #: Execution paths, in comparison order; ``interp`` is the reference.
-#: ``compiled`` pins the always-sweep scheduler and ``event`` the
-#: event-driven activity scheduler, so every campaign cross-checks the
-#: two scheduling strategies bit-for-bit whatever ``REPRO_SIM_EVENT``
-#: says.  The vectorized ``batched`` lane (bit-for-bit against the same
+#: The vectorized ``batched`` lane (bit-for-bit against the same
 #: oracle, silently exercising the scalar fallback for unlicensed
 #: modules) joins the defaults whenever NumPy is importable.
-DEFAULT_PATHS = ("interp", "compiled", "event", "board", "lifecycle")
+DEFAULT_PATHS = ("interp", "compiled", "board", "lifecycle")
 if HAVE_NUMPY:
     DEFAULT_PATHS = DEFAULT_PATHS + ("batched",)
 
@@ -61,7 +60,7 @@ if HAVE_NUMPY:
 #: recovers a fresh one from the durable journal.  Both are opt-in
 #: because they exercise the supervisor/serving layers rather than the
 #: compiler pipeline.
-ALL_PATHS = ("interp", "compiled", "event", "board", "lifecycle",
+ALL_PATHS = ("interp", "compiled", "board", "lifecycle",
              "batched", "crash", "restart")
 
 #: Tiny co-resident tenant used to force coalescing/handshake traffic
@@ -149,17 +148,14 @@ def _result_from_host(path: str, host: TaskHost, display: Sequence[str],
 def _run_sim(program: CompiledProgram, ticks: int, backend: str,
              service: CompilerService,
              opt_level: Optional[int] = None,
-             path_name: Optional[str] = None,
-             event: Optional[bool] = None) -> RunResult:
+             path_name: Optional[str] = None) -> RunResult:
     host = TaskHost()
     code = None
     if backend in ("compiled", "batched"):
         # The batched backend licenses (or falls back) against the
-        # always-sweep scalar artifact (its static plan); the compiled
-        # path pins whichever scheduler *event* names.
+        # same scalar code artifact the compiled path runs.
         code = service.codegen(program.flat, env=program.env,
-                               digest=program.digest, opt_level=opt_level,
-                               event=False if backend == "batched" else event)
+                               digest=program.digest, opt_level=opt_level)
     sim = Simulator(program.flat, host, env=program.env,
                     backend=backend, code=code)
     sim.tick(cycles=ticks)
@@ -443,14 +439,10 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
                 name = f"compiled[O{level}]"
                 runs.append((name, lambda lv=level, nm=name: _run_sim(
                     program, ticks, "compiled", service,
-                    opt_level=lv, path_name=nm, event=False)))
+                    opt_level=lv, path_name=nm)))
         elif path == "compiled":
             runs.append((path, lambda: _run_sim(program, ticks, "compiled",
-                                                service, event=False)))
-        elif path == "event":
-            runs.append((path, lambda: _run_sim(program, ticks, "compiled",
-                                                service, path_name="event",
-                                                event=True)))
+                                                service)))
         elif path == "batched":
             runs.append((path, lambda: _run_sim(program, ticks, "batched",
                                                 service)))

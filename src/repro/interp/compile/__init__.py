@@ -9,8 +9,8 @@ flattened module *once* at elaboration time:
   generated Python source with widths, masks and sign-extensions baked
   in as constants, ``compile()``d to one function per process.
 * :mod:`scheduler` — combinational processes are levelled into
-  dependency ranks (silicon-style logic cones) so one sweep settles
-  most designs.
+  dependency ranks (silicon-style logic cones) so one forward pass
+  over the woken cones settles most designs.
 * :mod:`simulator` — :class:`CompiledModuleCode`, the immutable
   shareable codegen artifact (analysis + schedule + code object), and
   :class:`CompiledSimulator`, one engine's state bound to such an
@@ -18,7 +18,7 @@ flattened module *once* at elaboration time:
 """
 
 from .slots import SlotLayout, SlotStore
-from .simulator import CompiledModuleCode, CompiledSimulator, resolve_sim_event
+from .simulator import CompiledModuleCode, CompiledSimulator
 
 __all__ = ["SlotLayout", "SlotStore", "CompiledModuleCode",
-           "CompiledSimulator", "resolve_sim_event"]
+           "CompiledSimulator"]

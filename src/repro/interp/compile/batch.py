@@ -9,14 +9,16 @@ tenant per tick.  This module adds the next sharing level — *execution*
 whole cohort.
 
 Licensing.  Vectorization piggybacks on the mid-end's two-state
-specialization: a module qualifies only when the specialized emitter
-produced the fully static single-clock plan (``static_mode`` +
-``tick_clock``, i.e. x/z-free, acyclic combinational cone, every edge
-process on one bare clock) and every declared width fits a 64-bit
-lane.  Anything else — or any construct outside the vector subset
-($random, file I/O, ...) — raises :class:`BatchUnsupported` and the
-caller falls back to the scalar compiled backend, keeping behavior
-identical by construction.
+specialization: a module qualifies only when its scalar code artifact
+is specialized (x/z-free), ranks its assigns (no impure assign forces
+the fifo queue), has a non-empty, acyclic combinational cone (so one
+rank-order sweep settles it), plans a single free-running
+``tick_clock`` (every edge process on one bare clock) and has no other
+sensitivity, and every declared width fits a 64-bit lane.  Anything
+else — or any construct outside the vector subset ($random, file I/O,
+...) — raises :class:`BatchUnsupported` and the caller falls back to
+the scalar compiled backend, keeping behavior identical by
+construction.
 
 Divergence.  Lanes may disagree on ``if``/``case`` arms, ``$display``
 arguments and ``$finish`` ticks.  Control flow is handled by boolean
@@ -27,7 +29,7 @@ so every subsequent statement, NBA latch and time increment ignores it
 exactly like the scalar engine's ``FinishSignal`` abort.
 
 Equivalence contract.  Every closure mirrors one clause of
-:class:`~repro.interp.eval_expr.Evaluator` / the scalar static tick in
+:class:`~repro.interp.eval_expr.Evaluator` / the scalar tick in
 ``compile/simulator.py`` — including the quirks (shift>4096 → 0,
 division by zero → all-ones, float-truncating signed division, the
 64-iteration exponent clamp).  The differential fuzz oracle runs this
@@ -54,6 +56,7 @@ from ..simulator import (
     SimulationError,
 )
 from ..systasks import TaskHost, verilog_format
+from .scheduler import has_cycle
 from .simulator import CompiledModuleCode, CompiledSimulator
 
 HAVE_NUMPY = np is not None
@@ -141,12 +144,13 @@ class _VectorCompiler:
     vector subset cannot express raises :class:`BatchUnsupported`.
     """
 
-    def __init__(self, code: CompiledModuleCode):
+    def __init__(self, code: CompiledModuleCode, comb_in: bytes,
+                 trig_slots: "frozenset[int]"):
         self.code = code
         self.env = code.env
         self.layout = code.layout
-        self.comb_in = code.comb_in
-        self.trig_slots = set(code.trig_slots)
+        self.comb_in = comb_in
+        self.trig_slots = trig_slots
 
     # -- expression entry points -------------------------------------------
 
@@ -579,8 +583,7 @@ class _VectorCompiler:
         them in the update region.  ``mark`` selects the procedural
         flavor that raises ``need_sweep`` on combinational-input
         changes; the ranked sweep itself runs in full order every pass
-        and must not re-mark (mirroring the scalar static scheduler's
-        trigger-only announcements).
+        and must not re-mark (it announces trigger slots only).
         """
         if isinstance(lhs, ast.Identifier):
             return self._writer_identifier(lhs, mark)
@@ -595,7 +598,7 @@ class _VectorCompiler:
 
     def _check_not_trigger(self, slot: int) -> None:
         if slot in self.trig_slots:
-            # The static plan guarantees no process writes the clock;
+            # The licensed plan guarantees no process writes the clock;
             # anything else here would need edge re-detection.
             raise BatchUnsupported("write to an edge-trigger slot")
 
@@ -1084,11 +1087,15 @@ class BatchedModuleCode:
     def __init__(self, code: CompiledModuleCode):
         if np is None:
             raise UnsupportedBackend(_NUMPY_HINT)
-        if not (code.specialize and code.static_mode
-                and code.tick_clock is not None):
+        comb = [code.processes[index] for index in code.comb_order]
+        if not (code.specialize and not code.fifo_mode and comb
+                and code.tick_clock is not None
+                and not has_cycle([p.reads for p in comb],
+                                  [p.writes for p in comb])):
             raise BatchUnsupported(
-                "module is not licensed for vectorized execution (needs the "
-                "two-state specialized static single-clock plan)")
+                "module is not licensed for vectorized execution (needs a "
+                "two-state specialized single-clock plan with a non-empty, "
+                "acyclic combinational cone)")
         env = code.env
         for sig in env.signals.values():
             if sig.width > 64:
@@ -1097,12 +1104,25 @@ class BatchedModuleCode:
         self.code = code
         self.clock = code.tick_clock
         self.clock_slot = code.tick_clock_slot
-        self.comb_in_clock = bool(code.comb_in[self.clock_slot])
         for slot, specs in enumerate(code.trig_specs):
             if slot != self.clock_slot and specs:
                 raise BatchUnsupported("non-clock sensitivity under the "
-                                       "static plan")
-        compiler = _VectorCompiler(code)
+                                       "licensed plan")
+        # The cohort sweeps the whole cone whenever one of its inputs
+        # changed, so writers mark combinational inputs (``comb_in``)
+        # rather than per-assign pending sets; ``trig_slots`` are the
+        # edge-watched slots no process may write.
+        comb_in = bytearray(code.layout.n_slots)
+        for proc in comb:
+            for name in proc.reads:
+                slot = code._slot_for(name)
+                if slot is not None:
+                    comb_in[slot] = 1
+        self.comb_in = bytes(comb_in)
+        self.trig_slots = frozenset(
+            slot for slot, specs in enumerate(code.trig_specs) if specs)
+        self.comb_in_clock = bool(self.comb_in[self.clock_slot])
+        compiler = _VectorCompiler(code, self.comb_in, self.trig_slots)
         try:
             self.sweep_fns = tuple(
                 compiler.compile_assign(code.processes[index].assign)
@@ -1114,7 +1134,8 @@ class BatchedModuleCode:
                     proc_fns[proc.index] = fn if fn is not None else (
                         lambda st, m: None)
                 elif proc.kind == "star":
-                    raise BatchUnsupported("star process under static plan")
+                    raise BatchUnsupported(
+                        "star process under the licensed plan")
             self.proc_fns = proc_fns
         except WidthError as exc:
             raise BatchUnsupported(str(exc)) from exc
@@ -1257,7 +1278,7 @@ class BatchedCohort:
                     words, dtype=np.uint64)
                 # The scalar restore marks the memory dirty whether or
                 # not a word changed.
-                if self.code.comb_in[mem_slot]:
+                if self.batch.comb_in[mem_slot]:
                     self.need_sweep = True
             elif name in self.layout.slot_of:
                 self.set_value(name, int(value), lane=lane,
@@ -1296,7 +1317,7 @@ class BatchedCohort:
             return False
         np.copyto(row, new, where=changed, casting="unsafe")
         if notify:
-            if self.code.comb_in[slot]:
+            if self.batch.comb_in[slot]:
                 self.need_sweep = True
             if slot == self.batch.clock_slot:
                 self._fire_clock_edges(changed, detect_edges)
@@ -1321,7 +1342,7 @@ class BatchedCohort:
                 changed = True
         if changed and notify:
             mem_slot = self.layout.mem_slot_of.get(name)
-            if mem_slot is not None and self.code.comb_in[mem_slot]:
+            if mem_slot is not None and self.batch.comb_in[mem_slot]:
                 self.need_sweep = True
         return changed
 
@@ -1362,7 +1383,7 @@ class BatchedCohort:
         if not changed.any():
             return False
         np.copyto(column, new, where=changed, casting="unsafe")
-        if notify and self.code.comb_in[mem_slot]:
+        if notify and self.batch.comb_in[mem_slot]:
             self.need_sweep = True
         return True
 
@@ -1377,7 +1398,12 @@ class BatchedCohort:
             pending |= fired
 
     def settle(self) -> None:
-        """Vector mirror of the scalar ``_settle_static`` loop."""
+        """Whole-cone sweep between FIFO process activations.
+
+        The vector mirror of the scalar assigns-first schedule: a dirty
+        combinational input requests one rank-order sweep of the whole
+        (acyclic) cone, which settles it in one pass.
+        """
         limit = _MAX_SETTLE_ROUNDS * max(1, self.code.nprocs)
         runs = 0
         sweep_fns = self.batch.sweep_fns
@@ -1591,7 +1617,7 @@ class BatchedSimulator:
                  batch: Optional[BatchedModuleCode] = None):
         if code is None:
             code = batch.code if batch is not None else CompiledModuleCode(
-                module, env=env, event=False)
+                module, env=env)
         if batch is None:
             batch = batch_code_for(code)
         self.code = code
@@ -1700,16 +1726,8 @@ def batch_code_for(code: CompiledModuleCode) -> BatchedModuleCode:
         raise UnsupportedBackend(_NUMPY_HINT)
     cached = _BATCH_MEMO.get(code)
     if cached is None:
-        base = code
-        if getattr(base, "event_mode", False):
-            # Event scheduling displaces the static sweep plan the
-            # vector emitter licenses against; rebuild the sweep twin
-            # once and memoize under the caller's artifact.
-            base = CompiledModuleCode(base.module, env=base.env,
-                                      opt_level=base.opt_level,
-                                      event=False)
         try:
-            cached = BatchedModuleCode(base)
+            cached = BatchedModuleCode(code)
         except BatchUnsupported as exc:
             cached = exc
         _BATCH_MEMO[code] = cached
@@ -1730,9 +1748,7 @@ def batched_simulator(module: ast.Module, host: Optional[TaskHost] = None,
     if np is None:
         raise UnsupportedBackend(_NUMPY_HINT)
     if code is None:
-        # The vector emitter licenses against the static sweep plan,
-        # which event scheduling displaces.
-        code = CompiledModuleCode(module, env=env, event=False)
+        code = CompiledModuleCode(module, env=env)
     try:
         batch = batch_code_for(code)
     except BatchUnsupported:

@@ -3,8 +3,8 @@
 Continuous assigns are topologically levelled by their data
 dependencies: a process that only reads primary inputs is rank 0, a
 process reading rank-0 outputs is rank 1, and so on.  Executing pending processes in
-rank order guarantees that one sweep settles any acyclic design —
-writes only ever re-mark processes *later* in the sweep.  Processes
+rank order guarantees that one pass settles any acyclic design —
+writes only ever re-mark processes *later* in the order.  Processes
 caught in a dependency cycle are placed after every ranked process and
 iterate to fixpoint (or trip the convergence guard, which is how
 combinational loops are reported).
@@ -94,10 +94,11 @@ def acyclic_count(reads: Sequence[Set[str]], writes: Sequence[Set[str]]) -> int:
 def has_cycle(reads: Sequence[Set[str]], writes: Sequence[Set[str]]) -> bool:
     """True when the read/write dependency graph contains a cycle.
 
-    A cyclic cone cannot be settled by one static rank-order sweep —
-    the fully static combinational tick is only licensed for acyclic
-    designs; cyclic ones keep the iterative pending-set scheduler
-    (whose convergence guard reports genuine combinational loops).
+    A cyclic cone cannot be settled by one rank-order sweep of the
+    whole cone — the vectorized cohort engine, which runs exactly that
+    sweep, is only licensed for acyclic designs; cyclic ones stay on
+    the scalar engine (whose fixpoint iteration and convergence guard
+    report genuine combinational loops).
     """
     n = len(reads)
     writers_of: Dict[str, List[int]] = {}
@@ -112,7 +113,7 @@ def has_cycle(reads: Sequence[Set[str]], writes: Sequence[Set[str]]) -> bool:
                 if i == j:
                     # An assign reading its own output is itself a
                     # combinational loop (rank_order tolerates it for
-                    # iterative settling; the static sweep cannot).
+                    # iterative settling; a one-pass sweep cannot).
                     return True
                 if j not in succ[i]:
                     succ[i].add(j)

@@ -12,8 +12,7 @@ simulation backend gets (read per call, like ``REPRO_SIM_BACKEND``):
   alias forwarding, common-subexpression elimination, always-block
   fusion, dead-signal/dead-process elimination, and the two-state
   specialization analysis that licenses the specialized codegen
-  (local-variable slot caching and static rank-order combinational
-  sweeps).
+  (local-variable slot caching, and vectorized cohort execution).
 
 The **fingerprint** names the exact pass schedule *and* the codegen
 generation; it joins the program digest in every optimized artifact's
@@ -40,7 +39,7 @@ DEFAULT_OPT_LEVEL = 2
 #: Revision of the specialized code generator; part of every
 #: fingerprint so stale code objects cannot be shared across builds
 #: that emit differently.
-_CODEGEN_REV = 3
+_CODEGEN_REV = 4
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),

@@ -70,7 +70,7 @@ class Engine:
     def is_idle(self) -> bool:
         """True when further ticks provably execute nothing.
 
-        Only the event-scheduled software backend can prove this;
+        Only the compiled software backend can prove this;
         everything else reports False and keeps dispatching normally.
         """
         return False
@@ -109,14 +109,11 @@ class SoftwareEngine(Engine):
             # engines of one program at one optimization level share
             # one optimized code object, across instances and tenants.
             # The batched backend licenses (or falls back) against the
-            # same scalar code artifact — which must carry the static
-            # sweep plan, so it pins the always-sweep scheduler.
+            # same scalar code artifact.
             service = compiler if compiler is not None else default_service()
             code = service.codegen(program.flat, env=program.env,
                                    digest=program.digest,
-                                   opt_level=opt_level,
-                                   event=False if resolved == "batched"
-                                   else None)
+                                   opt_level=opt_level)
         # quiet_init: this engine exists only to be restored into (e.g.
         # evacuation from hardware, §3.5) — boot it against a throwaway
         # host so initial-block side effects ($display output, VFS

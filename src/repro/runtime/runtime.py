@@ -258,8 +258,8 @@ class Runtime:
     def is_idle(self) -> bool:
         """True when further ticks provably execute nothing.
 
-        Delegates to the engine (only the event-scheduled software
-        backend can prove quiescence).  A finished program is not
+        Delegates to the engine (only the compiled software backend
+        can prove quiescence).  A finished program is not
         *idle* — it is done, and schedulers treat those differently
         (retire vs fast-forward).  Note the engine's proof already
         counts pending NBA shadow-queue entries as activity: a tenant

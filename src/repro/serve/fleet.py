@@ -120,8 +120,7 @@ class Fleet:
             if load >= self.config.board_capacity:
                 continue
             warmth = hv.compiler.warmth(digest)
-            score = (int(warmth["codegen"]) + int(warmth["event"])
-                     + int(warmth["batch"]), -load)
+            score = (int(warmth["codegen"]) + int(warmth["batch"]), -load)
             if best_score is None or score > best_score:
                 best, best_score = hv, score
         return best

@@ -172,7 +172,7 @@ class TestCrossProcessWarmth:
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)
         code = service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=False)
+                               digest=program.digest)
         want = self._run(code)
 
         # A fresh process: new memory store, same directory.
@@ -180,7 +180,7 @@ class TestCrossProcessWarmth:
             ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program2 = service2.compile_program(SRC)
         code2 = service2.codegen(program2.flat, env=program2.env,
-                                 digest=program2.digest, event=False)
+                                 digest=program2.digest)
         assert service2.store.stats().disk_hits > 0
         assert code2.source == code.source
         assert self._run(code2) == want
@@ -188,12 +188,12 @@ class TestCrossProcessWarmth:
     def test_warmth_probe_sees_disk_artifacts(self, tmp_path):
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)
-        service.codegen(program.flat, env=program.env, digest=program.digest,
-                        event=False)
+        service.codegen(program.flat, env=program.env, digest=program.digest)
         service2 = CompilerService(
             ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         warmth = service2.warmth(program.digest)
-        assert warmth["codegen"], "disk tier must count as warmth"
+        assert warmth == {"opt": True, "codegen": True, "batch": False}, \
+            "disk tier must count as warmth"
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="batch backend needs NumPy")
     def test_batch_codec_rebuilds_vector_closures(self, tmp_path):

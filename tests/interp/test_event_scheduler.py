@@ -1,23 +1,19 @@
 """Event-driven activity scheduling: wake-up sets, idle proof, activity.
 
-The event scheduler (``REPRO_SIM_EVENT``, default on) replaces the O2
-static sweep with per-signal sensitivity dispatch: writes wake exactly
-the combinational cones that read them, clock-gated registered blocks
-are skipped when their enables are low, and a quiescent design proves
-``is_idle()`` so the hypervisor can fast-forward it for free.  The
-always-sweep plan stays behind ``REPRO_SIM_EVENT=0`` as the oracle —
-every test here that checks values checks them against that twin or
-the tree-walking interpreter.
+The compiled backend's one scheduling plan is per-signal sensitivity
+dispatch: writes wake exactly the combinational cones that read them,
+clock-gated registered blocks are skipped when their enables are low,
+and a quiescent design proves ``is_idle()`` so the hypervisor can
+fast-forward it for free.  Every test here that checks values checks
+them against the tree-walking interpreter, the single oracle.
 """
 
 import pytest
 
 from repro.compiler.artifacts import ArtifactStore
-from repro.compiler.service import (
-    KIND_CODEGEN, KIND_EVENT, CompilerService,
-)
+from repro.compiler.service import KIND_CODEGEN, CompilerService
 from repro.interp import Simulator, TaskHost, VirtualFS
-from repro.interp.compile import CompiledModuleCode, resolve_sim_event
+from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.verilog import flatten, parse
 
@@ -27,12 +23,17 @@ def build(text, top=None, **kwargs):
     return flat
 
 
-def sim_for(text, top=None, event=None):
+def sim_for(text, top=None):
     # Pinned at O2: the idle proofs need the gating pass, which the
     # ambient REPRO_OPT_LEVEL=0 CI leg would otherwise strip.
     flat = build(text, top)
-    code = CompiledModuleCode(flat, opt_level=2, event=event)
+    code = CompiledModuleCode(flat, opt_level=2)
     return CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
+
+
+def oracle_for(text, top=None):
+    return Simulator(build(text, top), TaskHost(VirtualFS()),
+                     backend="interp")
 
 
 GATED = """
@@ -46,24 +47,11 @@ endmodule
 
 
 class TestModeSelection:
-    def test_event_on_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
-        assert resolve_sim_event() is True
+    def test_event_on_by_default(self):
         sim = sim_for(GATED)
-        assert sim.code.event_mode
-        assert not sim.code.static_mode
-
-    def test_env_zero_restores_static_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EVENT", "0")
-        assert resolve_sim_event() is False
-        sim = sim_for(GATED)
-        assert not sim.code.event_mode
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EVENT", "0")
-        assert resolve_sim_event(True) is True
-        sim = sim_for(GATED, event=True)
-        assert sim.code.event_mode
+        assert not sim.code.fifo_mode
+        assert sim.code.tick_clock == "clock"
+        assert sim.settle == sim._settle_event
 
     def test_fifo_designs_withdraw_to_generic(self):
         # An impure assign RHS forces FIFO scheduling; event dispatch
@@ -76,14 +64,16 @@ class TestModeSelection:
               reg [31:0] seen;
               always @(posedge clock) seen <= x;
             endmodule
-        """, event=True)
+        """)
         assert sim.code.fifo_mode
-        assert not sim.code.event_mode
+        assert sim.code.comb_order == ()
+        assert sim.code.tick_clock is None
+        assert sim.settle == sim._settle_fifo
 
 
 class TestIdleProof:
     def test_quiescent_gated_tick_runs_no_process_bodies(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 1)
         sim.tick(cycles=4)
         assert sim.get("acc") == 4
@@ -97,7 +87,7 @@ class TestIdleProof:
         assert sim.get("acc") == 4
 
     def test_idle_revoked_when_enable_rises(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 0)
         sim.tick(cycles=2)
         assert sim.is_idle()
@@ -112,20 +102,20 @@ class TestIdleProof:
               reg [7:0] n = 0;
               always @(posedge clock) n <= n + 1;
             endmodule
-        """, event=True)
+        """)
         sim.tick(cycles=2)
         assert not sim.is_idle()
 
     def test_activity_counts_pending_work(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         assert sim.activity() == 0 or sim.activity() >= 0  # well-defined
         sim.set("en", 1)
         # A poked input dirties its slot until the next drain.
         assert isinstance(sim.activity(), int)
 
-    def test_sweep_twin_matches_idle_fast_forward(self):
-        fast = sim_for(GATED, event=True)
-        slow = sim_for(GATED, event=False)
+    def test_interp_oracle_matches_idle_fast_forward(self):
+        fast = sim_for(GATED)
+        slow = oracle_for(GATED)
         for s in (fast, slow):
             s.set("en", 1)
             s.tick(cycles=5)
@@ -165,7 +155,7 @@ class TestNbaShadowQueueActivity:
     """
 
     def test_shadow_slots_are_tabled_as_activity(self):
-        sim = sim_for(self.SHADOWED, event=True)
+        sim = sim_for(self.SHADOWED)
         layout = sim.code.layout
         assert layout.slot_of["__wn_0"] in sim.code.activity_slots
         assert layout.slot_of["__wseq"] in sim.code.activity_slots
@@ -186,7 +176,7 @@ class TestNbaShadowQueueActivity:
             endmodule
         """)
         code = CompiledModuleCode(program.transform.module,
-                                  env=program.hardware_env, event=True)
+                                  env=program.hardware_env)
         names = {name for name, slot in code.layout.slot_of.items()
                  if slot in code.activity_slots}
         assert any(n.startswith("__wn_") for n in names)
@@ -194,7 +184,7 @@ class TestNbaShadowQueueActivity:
         assert "__wseq" in names
 
     def test_pending_shadow_entry_blocks_idle(self):
-        sim = sim_for(self.SHADOWED, event=True)
+        sim = sim_for(self.SHADOWED)
         sim.set("en", 0)
         sim.set("drain", 0)
         sim.tick(cycles=2)
@@ -214,16 +204,14 @@ class TestNbaShadowQueueActivity:
         assert sim.get("__wn_0") == 0
         assert sim.is_idle()
 
-    def test_preempted_tenant_with_staged_writes_not_fast_forwarded(
-            self, monkeypatch):
+    def test_preempted_tenant_with_staged_writes_not_fast_forwarded(self):
         # Runtime-level regression: a tenant sliced out while shadow
         # writes are pending must report busy through tick_chunk so the
         # supervisor keeps stepping it instead of warping time past the
-        # drain.  Event scheduling and O2 are pinned — the scenario
-        # under test only exists with the idle probe armed.
+        # drain.  O2 is pinned — the scenario under test only exists
+        # with the gating pass's idle probe armed.
         from repro.runtime.runtime import Runtime
 
-        monkeypatch.setenv("REPRO_SIM_EVENT", "1")
         runtime = Runtime(self.SHADOWED, sim_backend="compiled",
                           opt_level=2)
         runtime.engine.set("en", 0)
@@ -265,9 +253,9 @@ class TestCycleDownstreamRemarking:
     """
 
     def test_cycle_members_are_trailing_not_heap(self):
-        sim = sim_for(self.CYC, event=True)
+        sim = sim_for(self.CYC)
         code = sim.code
-        assert code.event_mode
+        assert not code.fifo_mode
         # Both the self-looping driver and its downstream reader sit in
         # the trailing fixpoint region; neither may enter the acyclic
         # heap prefix, else a late cycle settle could strand the reader.
@@ -275,9 +263,8 @@ class TestCycleDownstreamRemarking:
         assert code.event_acyclic == 0
 
     def test_downstream_of_cycle_tracks_late_settle(self):
-        fast = sim_for(self.CYC, event=True)
-        oracle = Simulator(build(self.CYC), TaskHost(VirtualFS()),
-                           backend="interp")
+        fast = sim_for(self.CYC)
+        oracle = oracle_for(self.CYC)
         for _ in range(12):
             fast.tick(cycles=1)
             oracle.tick(cycles=1)
@@ -285,8 +272,8 @@ class TestCycleDownstreamRemarking:
             assert fast.get("q") == oracle.get("q")
 
     def test_full_state_bit_identical_over_run(self):
-        fast = sim_for(self.CYC, event=True)
-        slow = sim_for(self.CYC, event=False)
+        fast = sim_for(self.CYC)
+        slow = oracle_for(self.CYC)
         fast.tick(cycles=40)
         slow.tick(cycles=40)
         assert fast.store.snapshot() == slow.store.snapshot()
@@ -294,7 +281,7 @@ class TestCycleDownstreamRemarking:
 
 class TestRestoreClearsEventState:
     def test_restore_at_quiescence_drops_stale_activity(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 1)
         sim.tick(cycles=2)
         snap = sim.save_state()
@@ -303,7 +290,7 @@ class TestRestoreClearsEventState:
         assert sim.get("acc") == 2
         assert not sim._ev_heap
         assert sim._trail_count == 0
-        twin = sim_for(GATED, event=True)
+        twin = sim_for(GATED)
         twin.set("en", 1)
         twin.tick(cycles=2)
         sim.tick(cycles=4)
@@ -311,24 +298,20 @@ class TestRestoreClearsEventState:
         assert sim.get("acc") == twin.get("acc") == 6
 
 
-class TestEventArtifactKind:
-    def test_event_and_sweep_cache_under_separate_kinds(self):
+class TestOneArtifactKind:
+    def test_one_codegen_artifact_per_key(self):
         service = CompilerService(ArtifactStore())
         program = service.compile_program(GATED)
-        ev = service.codegen(program.flat, env=program.env,
-                             digest=program.digest, event=True)
-        sw = service.codegen(program.flat, env=program.env,
-                             digest=program.digest, event=False)
-        assert ev is not sw
-        assert ev.event_mode and not sw.event_mode
+        code = service.codegen(program.flat, env=program.env,
+                               digest=program.digest)
         assert service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=True) is ev
-        assert service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=False) is sw
-        warmth = service.warmth(program.digest)
-        assert warmth["event"] and warmth["codegen"]
+                               digest=program.digest) is code
+        assert service.store.count(KIND_CODEGEN) == 1
+        assert set(service.warmth(program.digest)) == {
+            "opt", "codegen", "batch"}
+        assert service.warmth(program.digest)["codegen"]
 
-    def test_batch_layers_on_the_sweep_plan(self):
+    def test_batch_layers_on_the_codegen_artifact(self):
         pytest.importorskip("numpy")
         service = CompilerService(ArtifactStore())
         program = service.compile_program("""
@@ -341,19 +324,21 @@ class TestEventArtifactKind:
             endmodule
         """)
         # O2 pinned: vector licensing needs the two-state specialized
-        # static plan, which the ambient O0 CI leg would deny.
-        service.batch(program.flat, env=program.env,
-                      digest=program.digest, opt_level=2)
-        # The vector emitter licenses against the static sweep plan, so
-        # batching a cold digest fills the sweep kind, not the event
-        # one.  (Counts, not warmth(): warmth probes the ambient opt
-        # level, which CI legs vary.)
+        # plan, which the ambient O0 CI leg would deny.
+        batch = service.batch(program.flat, env=program.env,
+                              digest=program.digest, opt_level=2)
+        code = service.codegen(program.flat, env=program.env,
+                               digest=program.digest, opt_level=2)
+        # The vector closures decorate the very artifact scalar engines
+        # run — no second scheduling plan is built for them.  (Counts,
+        # not warmth(): warmth probes the ambient opt level, which CI
+        # legs vary.)
+        assert batch.code is code
         assert service.store.count(KIND_CODEGEN) == 1
-        assert service.store.count(KIND_EVENT) == 0
 
 
 class TestBenchWorkloadIdentity:
-    """Every bench workload, event vs sweep, bit-identical."""
+    """Every bench workload, compiled vs the interpreter, bit-identical."""
 
     @pytest.mark.parametrize("name,ticks", [
         ("adpcm", 48), ("bitcoin", 16), ("df", 32),
@@ -365,11 +350,10 @@ class TestBenchWorkloadIdentity:
 
         flat = flatten(parse(BENCHMARKS[name].source()), name)
         runs = {}
-        for label, event in (("event", True), ("sweep", False)):
+        for backend in ("compiled", "interp"):
             host = TaskHost(bench_vfs(name, scale=1 << 12))
-            code = CompiledModuleCode(flat, event=event)
-            sim = CompiledSimulator(flat, host, code=code)
+            sim = Simulator(flat, host, backend=backend)
             sim.tick(cycles=ticks)
-            runs[label] = (sim.store.snapshot(), list(host.display_log),
-                           host.finished, sim.time)
-        assert runs["event"] == runs["sweep"]
+            runs[backend] = (sim.store.snapshot(), list(host.display_log),
+                             host.finished, sim.time)
+        assert runs["compiled"] == runs["interp"]

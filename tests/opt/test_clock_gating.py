@@ -3,7 +3,7 @@ dispatch-time early-out it licenses in the event scheduler."""
 
 import random
 
-from repro.interp import TaskHost, VirtualFS
+from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.opt import Design
@@ -141,18 +141,19 @@ endmodule
 """
 
 
-def gated_sim(event):
+def gated_sim():
     flat = flatten(parse(GATED_BANK), "bank")
-    code = CompiledModuleCode(flat, opt_level=2, event=event)
+    code = CompiledModuleCode(flat, opt_level=2)
     return CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
 
 
 class TestGatedDispatchIdentity:
     def test_random_enable_patterns_bit_identical(self):
-        """Gated early-out vs the always-sweep twin, driven by seeded
+        """Gated early-out vs the interpreter oracle, driven by seeded
         random enable patterns: architectural state must never diverge."""
-        fast = gated_sim(event=True)
-        slow = gated_sim(event=False)
+        fast = gated_sim()
+        slow = Simulator(flatten(parse(GATED_BANK), "bank"),
+                         TaskHost(VirtualFS()), backend="interp")
         assert fast.code.gate_ids
         rng = random.Random(0xC10C)
         for step in range(200):
@@ -169,7 +170,7 @@ class TestGatedDispatchIdentity:
     def test_quiescent_tick_executes_no_process_bodies(self):
         """The idle-cost contract: with every enable low and the design
         settled, a tick is bookkeeping only — zero statements run."""
-        sim = gated_sim(event=True)
+        sim = gated_sim()
         for name in ("a", "b", "c"):
             sim.set(name, 1)
         sim.tick(cycles=4)
@@ -183,7 +184,7 @@ class TestGatedDispatchIdentity:
         assert sim.time >= 500
 
     def test_gate_skip_leaves_state_untouched(self):
-        sim = gated_sim(event=True)
+        sim = gated_sim()
         sim.set("a", 1)
         sim.set("b", 0)
         sim.set("c", 0)

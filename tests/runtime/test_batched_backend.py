@@ -79,6 +79,13 @@ def lane_state(sim):
     return sim.store.snapshot()
 
 
+@pytest.fixture
+def at_o2(monkeypatch):
+    """Pin O2: vector licensing needs the two-state specialized plan,
+    which the ambient ``REPRO_OPT_LEVEL=0`` CI leg would deny."""
+    monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+
+
 class TestDifferential:
     @pytest.mark.parametrize("finish_at,ticks", [(40, 24), (10, 24)])
     def test_state_display_finish_parity(self, finish_at, ticks):
@@ -92,6 +99,7 @@ class TestDifferential:
             assert host.finish_code == ref_host.finish_code, backend
             assert sim.time == ref_sim.time, backend
 
+    @pytest.mark.usefixtures("at_o2")
     def test_per_lane_finish_at_different_ticks(self):
         """Lanes $finish at different ticks; each must match its own
         scalar run, and dead lanes must stop advancing."""
@@ -125,6 +133,7 @@ class TestDifferential:
         scalar.tick(cycles=20)
         assert cohort.snapshot_lane(2) == scalar.store.snapshot()
 
+    @pytest.mark.usefixtures("at_o2")
     def test_display_interleaving_multiple_lanes(self):
         """Each lane's display stream equals its scalar twin's."""
         flat = flatten(parse(kitchen(40)), "kitchen")
@@ -156,7 +165,7 @@ class TestFacade:
 
     def test_unlicensed_module_falls_back_to_compiled(self):
         # Pure sequential modules (no comb layer) are outside the
-        # static plan → the factory silently yields the scalar sim.
+        # licensed plan → the factory silently yields the scalar sim.
         src = """
         module seqonly(clock);
           input wire clock;
@@ -187,6 +196,60 @@ class TestFacade:
         assert hv.sim_backend == "compiled"
 
 
+def _perfbench_design_pool():
+    """The benchmark's serving design pool (``perfbench/inputs.py``)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.design_pool()
+
+
+class TestOneScalarArtifact:
+    """Batch layers on the one scalar artifact every engine runs."""
+
+    def test_batch_builds_no_second_scalar_artifact(self):
+        from repro.bench import BENCHMARKS
+        from repro.compiler import ArtifactStore
+        from repro.interp.compile import CompiledModuleCode
+
+        service = CompilerService(ArtifactStore())
+        program = service.compile_program(BENCHMARKS["mips32"].source())
+        # What a software engine builds, then what cohort formation
+        # builds; O2 pinned because the O0 CI leg denies licensing.
+        code = service.codegen(program.flat, env=program.env,
+                               digest=program.digest, opt_level=2)
+        batch = service.batch(program.flat, env=program.env,
+                              digest=program.digest, opt_level=2)
+        scalar = [entry.value for entry in service.store._entries.values()
+                  if isinstance(entry.value, CompiledModuleCode)]
+        assert scalar == [code]
+        assert batch.code is code
+
+    def test_design_pool_licensing(self):
+        from repro.compiler import ArtifactStore
+        from repro.interp.compile.batch import BatchUnsupported
+
+        licensed = set()
+        pool = _perfbench_design_pool()
+        for label, source in pool.items():
+            service = CompilerService(ArtifactStore())
+            program = service.compile_program(source)
+            try:
+                service.batch(program.flat, env=program.env,
+                              digest=program.digest, opt_level=2)
+            except BatchUnsupported:
+                continue
+            licensed.add(label)
+        assert set(pool) == {"mips32", "bitcoin"} | {
+            f"fuzz-{i}" for i in range(6)}
+        assert licensed == {"mips32", "fuzz-5"}
+
+
+@pytest.mark.usefixtures("at_o2")
 class TestCohortLifecycle:
     def _cohort_engine(self, src=None):
         service = CompilerService()
@@ -291,6 +354,7 @@ class TestSupervisorCohorts:
             assert ra.ticks == rb.ticks
             assert ra.engine.sim.time == rb.engine.sim.time
 
+    @pytest.mark.usefixtures("at_o2")
     def test_stats_telemetry(self):
         sup = self._mk(3, 0)
         formed = sup.form_cohorts()

@@ -32,12 +32,10 @@ class TestPlacement:
         # Pre-build the full artifact chain on one board's service.
         program = warm.compiler.compile_program(APP)
         warm.compiler.codegen(program.flat, digest=program.digest)
-        # codegen() lands in the "event" or "codegen" kind depending on
-        # the ambient REPRO_SIM_EVENT; either makes the board warm.
         warm_w = warm.compiler.warmth(program.digest)
         cold_w = cold.compiler.warmth(program.digest)
-        assert warm_w["codegen"] or warm_w["event"]
-        assert not (cold_w["codegen"] or cold_w["event"])
+        assert warm_w == {"opt": True, "codegen": True, "batch": False}
+        assert cold_w == {"opt": False, "codegen": False, "batch": False}
 
         fleet.admit_job("hot", APP, program.digest)
         assert fleet.supervisor.tenants["hot"].host is warm
