@@ -55,7 +55,7 @@ from ..simulator import (
     InterpSimulator,
     SimulationError,
 )
-from ..systasks import TaskHost, verilog_format
+from ..systasks import TaskHost, output_format, render_output
 from .scheduler import has_cycle
 from .simulator import CompiledModuleCode, CompiledSimulator
 
@@ -1037,19 +1037,10 @@ class _VectorCompiler:
         raise BatchUnsupported(f"cannot vectorize system task {name}")
 
     def _compile_output_task(self, stmt: ast.SysTask, append: bool):
-        args = stmt.args
-        formatted = (bool(args) and isinstance(args[0], ast.String)
-                     and "%" in args[0].value)
-        if formatted:
-            fmt = args[0].value
-            specs = [(arg.value, None) if isinstance(arg, ast.String)
-                     else (None, self.expr_self(arg))
-                     for arg in args[1:]]
-        else:
-            fmt = None
-            specs = [(arg.value, None) if isinstance(arg, ast.String)
-                     else (None, self.expr_self(arg))
-                     for arg in args]
+        fmt, value_args = output_format(stmt.args)
+        specs = [(arg.value, None) if isinstance(arg, ast.String)
+                 else (None, self.expr_self(arg))
+                 for arg in value_args]
 
         def output(st, m):
             st.stmts_executed += 1
@@ -1060,13 +1051,9 @@ class _VectorCompiler:
                         else (None, _as_lanes(st, vf(st)))
                         for text, vf in specs]
             for lane in np.nonzero(am)[0]:
-                values = [text if text is not None else int(vec[lane])
-                          for text, vec in rendered]
-                if fmt is not None:
-                    line = verilog_format(fmt, values)
-                else:
-                    line = " ".join(v if isinstance(v, str) else str(v)
-                                    for v in values)
+                line = render_output(fmt, [
+                    text if text is not None else int(vec[lane])
+                    for text, vec in rendered])
                 if append:
                     st.wbuf[lane] += line
                 else:

@@ -6,10 +6,12 @@ resolves all of it *once* at elaboration time.  The emitted source
 reads scalar slots as ``d[i]`` and memory words as list indexing; the
 only runtime dispatch left is Python's own bytecode.
 
-Anything the compiler cannot lower statically falls back to an ``EV``
-call — ``Evaluator._eval`` on the original node at the same width — so
-behaviour (including runtime errors on never-executed paths) is
-bit-identical to the interpreter.
+``$feof``/``$fgetc`` call the live VFS directly.  Anything the compiler
+cannot lower statically falls back to an ``EV`` call —
+``Evaluator._eval`` on the original node at the same width — or, for
+the other system functions, a ``SYS`` call, so behaviour (including
+runtime errors on never-executed paths) is bit-identical to the
+interpreter.
 """
 
 from __future__ import annotations
@@ -361,6 +363,14 @@ class ExprCompiler:
         if isinstance(e, ast.SysCall):
             if e.name in ("$signed", "$unsigned"):
                 return self._ex(e.args[0], w)
+            if e.name in ("$feof", "$fgetc") and e.args:
+                # File queries call the live VFS directly, with the
+                # descriptor compiled like any operand: the VFS reads
+                # no store state and never raises, so the call is legal
+                # in strict (slot-cached) bodies.  Both results fit in
+                # 32 bits (``$fgetc``'s EOF sentinel is 0xFFFFFFFF).
+                call = f"S.host.vfs.{e.name[1:]}({self.compile(e.args[0])})"
+                return call if w >= 32 else f"({call} & {self.lit_ref(mw)})"
             if self.strict:
                 # SYS evaluates its arguments through the reference
                 # evaluator, i.e. against the store — invisible to the

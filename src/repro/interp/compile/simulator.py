@@ -35,7 +35,7 @@ from ...verilog import ast_nodes as ast
 from ...verilog.rewrite import collect_identifiers, lvalue_targets, stmt_identifiers
 from ...verilog.width import WidthEnv
 from ..eval_expr import EvalError, Evaluator
-from ..systasks import FinishSignal, TaskHost
+from ..systasks import FinishSignal, TaskHost, render_output
 from ..simulator import (
     _MAX_SETTLE_ROUNDS,
     InterpSimulator,
@@ -493,6 +493,7 @@ class CompiledSimulator(InterpSimulator):
             "EV": self.evaluator._eval,
             "EVC": self.evaluator,
             "SYS": self._sysfunc,
+            "FMT": render_output,
             "SimulationError": SimulationError,
         }
         namespace.update(HELPERS)

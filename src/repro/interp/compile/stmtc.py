@@ -5,9 +5,12 @@ generated function.  Blocking assignments write slots inline (with the
 dirty-bitset marking fused in); non-blocking assignments evaluate any
 dynamic LHS index *at the assignment site* (LRM §9.2.2 — only the
 update is deferred) and enqueue a pre-compiled *writer* closure that
-applies the store in the update region.  Statements the compiler
-cannot lower fall back to ``S._exec(<node>)`` — the reference
-interpreter on the live slot store — so unsupported constructs keep
+applies the store in the update region.  ``$fread``, the output
+tasks (``$display``/``$strobe``/``$monitor``/``$write``) and
+``$finish``/``$stop`` become direct calls on the live task host.
+Statements the compiler cannot lower — the other system tasks among
+them — fall back to ``S._exec(<node>)``, the reference interpreter on
+the live slot store, so unsupported constructs keep
 interpreter-identical behaviour instead of failing at elaboration.
 
 Two emission strategies exist per process:
@@ -22,6 +25,8 @@ Two emission strategies exist per process:
   the *whole* body compiles strictly (no ``EV``/``SYS``/``S._exec``
   escape can see the store behind the cache); the compiler attempts it
   first and silently falls back to the generic strategy per process.
+  The lowered system tasks never read the store, so file-I/O bodies
+  qualify, and a ``$finish`` unwinds through the flush.
 
 Dirty-bitset equivalence of the cached strategy: the generic emitter
 marks a watched slot at its first value-changing write, and the mark
@@ -40,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ...verilog import ast_nodes as ast
 from ...verilog.width import WidthError, const_eval
 from ..simulator import _MAX_LOOP_ITERATIONS
+from ..systasks import DISPLAY_TASKS, output_format
 from .exprc import CompileFallback, ExprCompiler, expr_is_pure, expr_nodes
 
 
@@ -424,9 +430,61 @@ class ProcessCompiler:
             self._count(ind, 1, 0)
             self.emit_stmt(stmt.stmt, ind)
             return
-        # System tasks (and anything else) run through the reference
-        # interpreter against the slot store: identical output, cold path.
+        if isinstance(stmt, ast.SysTask):
+            self._emit_systask(stmt, ind)
+            return
         raise CompileFallback(type(stmt).__name__)
+
+    def _emit_systask(self, stmt: ast.SysTask, ind: int) -> None:
+        """Lower ``$fread``, the output tasks and ``$finish``/``$stop``.
+
+        Each becomes a direct call on the live host, mirroring
+        ``InterpSimulator._exec_systask`` branch for branch (one ``_st``
+        bump, arguments evaluated at the same widths and in the same
+        order).  Arguments compile through the normal expression path,
+        and none of the calls reads the store, so the lowering is legal
+        in slot-cached bodies: a ``$finish`` unwinds through the
+        body's ``finally`` flush, publishing earlier blocking writes.
+        Every other task runs through the reference interpreter
+        against the slot store — identical output, cold path.
+        """
+        name, args = stmt.name, stmt.args
+        if name == "$fread" and len(args) >= 2:
+            dest = args[1]
+            width = self.env.width_of(dest)
+            self._count(ind, 1, expr_nodes(args[0]))
+            word = self._gensym("v")
+            self._emit(ind, f"{word} = S.host.vfs.fread_word("
+                            f"{self.ec.compile(args[0])}, {width})")
+            self._emit(ind, f"if {word} is not None:")
+            mark = len(self.lines)
+            # A failed read leaves the destination (and its index
+            # operands) untouched; the word spans whole bytes.
+            self._emit_store(dest, word, 8 * max(1, (width + 7) // 8), ind + 1)
+            if len(self.lines) == mark:
+                self._emit(ind + 1, "pass")  # constant out-of-range dest
+            return
+        if name in DISPLAY_TASKS or name == "$write":
+            fmt, value_args = output_format(args)
+            if not all(expr_is_pure(arg) for arg in value_args):
+                raise CompileFallback(f"impure {name} argument")
+            self._count(ind, 1, sum(expr_nodes(arg) for arg in value_args
+                                    if not isinstance(arg, ast.String)))
+            values = [repr(arg.value) if isinstance(arg, ast.String)
+                      else self.ec.compile(arg) for arg in value_args]
+            text = f"FMT({fmt!r}, [{', '.join(values)}])"
+            if name == "$write":
+                self._emit(ind, f"S._write_buffer += {text}")
+            else:
+                self._emit(ind, f"S.host.display(S._write_buffer + {text})")
+                self._emit(ind, "S._write_buffer = ''")
+            return
+        if name in ("$finish", "$stop"):
+            self._count(ind, 1, expr_nodes(args[0]) if args else 0)
+            code = self.ec.compile(args[0]) if args else "0"
+            self._emit(ind, f"S.host.finish({code})")
+            return
+        raise CompileFallback(f"system task {name}")
 
     def _emit_block_coalesced(self, stmts, ind: int) -> None:
         """Emit a block body with straight-line counter runs merged.

@@ -27,7 +27,9 @@ from ..verilog.rewrite import collect_identifiers, stmt_identifiers
 from ..verilog.width import WidthEnv, mask
 from .eval_expr import EvalError, Evaluator
 from .store import Store
-from .systasks import FinishSignal, TaskHost, verilog_format
+from .systasks import (
+    DISPLAY_TASKS, FinishSignal, TaskHost, output_format, render_output,
+)
 
 _MAX_LOOP_ITERATIONS = 1 << 21
 _MAX_SETTLE_ROUNDS = 10_000
@@ -423,25 +425,16 @@ class InterpSimulator:
     # -- system tasks / functions -------------------------------------------------
 
     def _format_args(self, args: Sequence[ast.Expr]) -> str:
-        if args and isinstance(args[0], ast.String) and "%" in args[0].value:
-            values: List[object] = []
-            for arg in args[1:]:
-                if isinstance(arg, ast.String):
-                    values.append(arg.value)
-                else:
-                    values.append(self.evaluator.eval(arg))
-            return verilog_format(args[0].value, values)
-        rendered = []
-        for arg in args:
-            if isinstance(arg, ast.String):
-                rendered.append(arg.value)
-            else:
-                rendered.append(str(self.evaluator.eval(arg)))
-        return " ".join(rendered)
+        """Evaluate an output task's arguments and render its text."""
+        fmt, value_args = output_format(args)
+        return render_output(fmt, [
+            arg.value if isinstance(arg, ast.String) else self.evaluator.eval(arg)
+            for arg in value_args
+        ])
 
     def _exec_systask(self, stmt: ast.SysTask) -> None:
         name = stmt.name
-        if name in ("$display", "$strobe", "$monitor"):
+        if name in DISPLAY_TASKS:
             self.host.display(self._write_buffer + self._format_args(stmt.args))
             self._write_buffer = ""
             return

@@ -10,9 +10,13 @@ hardware file IO and ``$save``/``$restart`` work (§3 of the paper).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..verilog import ast_nodes as ast
 from .vfs import VirtualFS
+
+#: output tasks that print a line (``$write`` appends to the line buffer)
+DISPLAY_TASKS = ("$display", "$strobe", "$monitor")
 
 
 class FinishSignal(Exception):
@@ -23,7 +27,7 @@ class FinishSignal(Exception):
         self.code = code
 
 
-def verilog_format(fmt: str, values: List[object]) -> str:
+def verilog_format(fmt: str, values: Sequence[object]) -> str:
     """Render a ``$display``-style format string.
 
     Supports ``%d``/``%0d``, ``%h``/``%x``, ``%b``, ``%o``, ``%c``,
@@ -83,6 +87,31 @@ def verilog_format(fmt: str, values: List[object]) -> str:
         else:
             out.append(f"%{conv}")
     return "".join(out)
+
+
+def output_format(args: Sequence[ast.Expr]
+                  ) -> Tuple[Optional[str], Sequence[ast.Expr]]:
+    """Split an output task's arguments into (format string, values).
+
+    A leading string literal containing ``%`` is the format; otherwise
+    the format is None and every argument is a value.
+    """
+    if args and isinstance(args[0], ast.String) and "%" in args[0].value:
+        return args[0].value, args[1:]
+    return None, args
+
+
+def render_output(fmt: Optional[str], values: Sequence[object]) -> str:
+    """The text of one ``$display``/``$write`` from evaluated arguments.
+
+    *fmt* and the order of *values* come from :func:`output_format`;
+    *values* holds ``str`` for string literals and ``int`` for
+    evaluated expressions.  Every engine (interpreter, compiled,
+    batched) and the hardware trap servicer render through here.
+    """
+    if fmt is not None:
+        return verilog_format(fmt, values)
+    return " ".join(v if isinstance(v, str) else str(v) for v in values)
 
 
 class TaskHost:

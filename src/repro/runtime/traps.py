@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..core.machinify import TaskSite
-from ..interp.systasks import TaskHost, verilog_format
+from ..interp.systasks import TaskHost, output_format, render_output
 from ..verilog import ast_nodes as ast
 from ..verilog.width import WidthEnv, WidthError
 from .abi import AbiChannel, ReadExpr, Set, WriteLval
@@ -41,10 +41,8 @@ class TrapServicer:
         return channel.send(ReadExpr(expr))
 
     def _format(self, channel: AbiChannel, args) -> str:
-        if args and isinstance(args[0], ast.String) and "%" in args[0].value:
-            values = [self._value(channel, a) for a in args[1:]]
-            return verilog_format(args[0].value, values)
-        return " ".join(str(self._value(channel, a)) for a in args)
+        fmt, value_args = output_format(args)
+        return render_output(fmt, [self._value(channel, a) for a in value_args])
 
     # -- servicing -----------------------------------------------------------
 
