@@ -185,10 +185,11 @@ class ArtifactStore:
                 self._kind_stats(old_kind).evictions += 1
 
     def put(self, kind: str, key: str, value: object,
-            seconds: float = 0.0) -> None:
-        """Insert an artifact; *seconds* is what building it cost."""
+            seconds: float = 0.0, durable: bool = True) -> None:
+        """Insert an artifact; *seconds* is what building it cost, and
+        ``durable=False`` keeps it out of the disk tier."""
         self._insert(kind, key, value, seconds)
-        if self.disk is not None:
+        if durable and self.disk is not None:
             self.disk.store(kind, key, value, seconds)
 
     def get_or_build(self, kind: str, key: str,

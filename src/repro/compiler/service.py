@@ -21,6 +21,7 @@ process-wide under ``REPRO_COMPILER_CACHE=1``.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Union
 
 from ..core.pipeline import CompiledProgram, build_program
@@ -37,7 +38,7 @@ KIND_SOURCE = "source"      # raw-text alias → compiled program
 KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
 KIND_CODEGEN = "codegen"    # compiled-simulator code (CompiledModuleCode)
-KIND_BATCH = "batch"        # vectorized closures over a codegen artifact
+KIND_BATCH = "batch"        # batch verdict: vector closures or a refusal
 KIND_SYNTH = "synth"
 KIND_BITSTREAM = "bitstream"
 
@@ -150,7 +151,13 @@ class CompilerService:
                                   opt_level=level, keep=keep)),
         )
 
-    # -- vectorized (batched) code generation ------------------------------
+    # -- vector cohort code generation -------------------------------------
+
+    @staticmethod
+    def _batch_key(digest: str, level: int) -> str:
+        from ..opt import pipeline_fingerprint
+
+        return f"{digest}\x00{pipeline_fingerprint(level)}\x00batch"
 
     def batch(self, module: ast.Module, env=None,
               digest: Optional[str] = None,
@@ -158,29 +165,42 @@ class CompilerService:
               keep: "frozenset[str]" = frozenset()):
         """Shareable vectorized cohort closures for *module*.
 
-        Layered on :meth:`codegen`: the vector emitter licenses against
-        (and cohorts boot lanes from) the one scalar code artifact, so
-        the key is the codegen key plus a ``batch`` discriminator.
-        Raises :class:`~repro.interp.compile.batch.UnsupportedBackend`
-        without NumPy and
-        :class:`~repro.interp.compile.batch.BatchUnsupported` for
-        modules outside the vector subset — only successful builds
-        are interned (failures are memoized cheaply per code artifact
-        by :func:`~repro.interp.compile.batch.batch_code_for`).
+        Layered on :meth:`codegen` (codegen key plus a ``batch``
+        discriminator).  The entry is the program's batch verdict
+        (:func:`~repro.interp.compile.batch.vectorize`), so an
+        unlicensed program is analysed once per store and each later
+        call raises ``BatchUnsupported`` from a hit.  Refusals stay out
+        of the disk tier.  Raises ``UnsupportedBackend`` without NumPy.
         """
-        from ..interp.compile.batch import batch_code_for
-        from ..opt import pipeline_fingerprint, resolve_opt_level
+        from ..interp.compile.batch import (
+            BatchRefusal, BatchUnsupported, vectorize,
+        )
+        from ..opt import resolve_opt_level
 
         level = resolve_opt_level(opt_level)
         if digest is None:
             digest = text_digest(print_module(module))
-        key = f"{digest}\x00{pipeline_fingerprint(level)}\x00batch"
-        return self.store.get_or_build(
-            KIND_BATCH, key,
-            lambda: batch_code_for(
-                self.codegen(module, env=env, digest=digest,
-                             opt_level=level, keep=keep)),
-        )
+        key = self._batch_key(digest, level)
+        verdict = self.store.get(KIND_BATCH, key)
+        if verdict is None:
+            t0 = time.perf_counter()
+            verdict = vectorize(self.codegen(module, env=env, digest=digest,
+                                             opt_level=level, keep=keep))
+            self.store.put(KIND_BATCH, key, verdict,
+                           seconds=time.perf_counter() - t0,
+                           durable=not isinstance(verdict, BatchRefusal))
+        if isinstance(verdict, BatchRefusal):
+            raise BatchUnsupported(verdict.reason)
+        return verdict
+
+    def batch_refused(self, digest: str,
+                      opt_level: Optional[int] = None) -> bool:
+        """Has :meth:`batch` already refused *digest*?  (Stats-free.)"""
+        from ..interp.compile.batch import BatchRefusal
+        from ..opt import resolve_opt_level
+
+        key = self._batch_key(digest, resolve_opt_level(opt_level))
+        return isinstance(self.store.peek(KIND_BATCH, key), BatchRefusal)
 
     # -- synthesis ---------------------------------------------------------
 
@@ -219,7 +239,8 @@ class CompilerService:
         serving layer's fleet balancer scores candidate hosts by how
         deep their store's artifact chain already reaches — a host whose
         service holds the codegen (or batch) artifact starts a
-        same-digest tenant with zero rebuild.  The probe spans both
+        same-digest tenant with zero rebuild; a batch refusal is no
+        warmth.  The probe spans both
         tiers: an artifact persisted to the ``REPRO_ARTIFACT_DIR`` disk
         store (possibly by an earlier process) counts as warmth, which
         is exactly what makes recovered placements after a restart land
@@ -232,7 +253,9 @@ class CompilerService:
         return {
             "opt": self.store.contains(KIND_OPT, staged),
             "codegen": self.store.contains(KIND_CODEGEN, staged),
-            "batch": self.store.contains(KIND_BATCH, staged + "\x00batch"),
+            "batch": (self.store.contains(KIND_BATCH,
+                                          self._batch_key(digest, level))
+                      and not self.batch_refused(digest, level)),
         }
 
 

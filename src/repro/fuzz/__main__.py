@@ -91,6 +91,7 @@ def main(argv=None) -> int:
     weights = GrammarWeights()
     failures = 0
     checked = 0
+    licensed = 0
     t0 = time.perf_counter()
     for seed in range(args.seed, args.seed + args.n):
         checked += 1
@@ -99,6 +100,7 @@ def main(argv=None) -> int:
         report = check(program.module, ticks, paths, service=service,
                        lifecycle_seed=seed, label=f"seed {seed}",
                        opt_levels=opt_levels)
+        licensed += "batched[0]" in report.results
         if report.ok:
             if args.verbose:
                 print(f"seed {seed}: ok ({ticks} ticks)")
@@ -126,6 +128,9 @@ def main(argv=None) -> int:
           f"artifact store: {stats.hits} hits / {stats.misses} misses "
           f"({stats.hit_rate:.0%} hit rate, "
           f"{service.store.count()} entries)")
+    if "batched" in paths:
+        print(f"batched path: {licensed} of {checked} programs licensed "
+              f"for vector cohorts (the rest: not applicable)")
     return 1 if failures else 0
 
 

@@ -21,10 +21,10 @@ are specified to agree:
 * combinational logic (continuous assigns and ``@*`` registers) forms
   a single-driver DAG, so its fixpoint is unique regardless of
   activation order;
-* ``$write``/``$time``/``$random`` are excluded: ``$write`` buffers
-  differently across trap servicing and native execution, and the
-  other two are clocks/PRNG state the migration context deliberately
-  does not carry.
+* ``$write``/``$time``/``$random`` are excluded: ``$write`` is not
+  generated yet (emitting it would change every seed's program,
+  including the benchmark's fuzz designs), and the other two are
+  clocks/PRNG state the migration context deliberately does not carry.
 
 Everything is derived from one ``random.Random(seed)``, so a seed
 fully reproduces a program (and its suggested tick count).

@@ -7,9 +7,9 @@ compares the observable behaviour bit-for-bit:
 * ``compiled`` — the compile-to-closures simulation backend (its one
   scheduling plan: event-driven activity dispatch, or the
   interpreter-identical fifo queue for impure-assign designs);
-* ``batched`` — the NumPy-vectorized cohort backend (degenerate N=1
-  cohort; silently the scalar compiled engine for modules outside the
-  vector subset), a default lane whenever NumPy is importable;
+* ``batched`` — two tenants joined mid-run into one NumPy vector
+  cohort, as serving runs them (see :func:`_run_cohort`); a default
+  path whenever NumPy is importable;
 * ``board`` — a :class:`~repro.runtime.runtime.Runtime` that JITs onto
   a single-tenant :class:`~repro.runtime.backends.DirectBoardBackend`
   after its first software tick, exercising the §3 transform, the
@@ -40,19 +40,18 @@ from ..fabric import DE10, F1
 from ..hypervisor import Hypervisor
 from ..hypervisor.migration import migrate, resume, suspend
 from ..interp import Simulator, TaskHost
-from ..interp.compile.batch import HAVE_NUMPY
+from ..interp.compile.batch import HAVE_NUMPY, BatchUnsupported
 from ..runtime import DirectBoardBackend, Runtime
 from ..verilog import ast_nodes as ast
 
 #: Execution paths, in comparison order; ``interp`` is the reference.
-#: The vectorized ``batched`` lane (bit-for-bit against the same
-#: oracle, silently exercising the scalar fallback for unlicensed
-#: modules) joins the defaults whenever NumPy is importable.
+#: The cohort-driven ``batched`` path joins the defaults whenever NumPy
+#: is importable.
 DEFAULT_PATHS = ("interp", "compiled", "board", "lifecycle")
 if HAVE_NUMPY:
     DEFAULT_PATHS = DEFAULT_PATHS + ("batched",)
 
-#: All recognized paths: the defaults plus the batched lane (opt-in
+#: All recognized paths: the defaults plus the batched path (opt-in
 #: without NumPy, where selecting it raises ``UnsupportedBackend``),
 #: the crash-recovery schedule (``python -m repro.fuzz --schedule
 #: crash``), and the restart-recovery schedule (``--schedule
@@ -89,12 +88,8 @@ class RunResult:
     finish_code: int = 0
     state: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None
-
-    def summary(self) -> str:
-        if self.error is not None:
-            return f"{self.path}: ERROR {self.error}"
-        return (f"{self.path}: {len(self.display)} lines, "
-                f"finished={self.finished}({self.finish_code})")
+    #: why the path does not apply to this program (nothing to compare)
+    not_applicable: Optional[str] = None
 
 
 @dataclass
@@ -151,9 +146,7 @@ def _run_sim(program: CompiledProgram, ticks: int, backend: str,
              path_name: Optional[str] = None) -> RunResult:
     host = TaskHost()
     code = None
-    if backend in ("compiled", "batched"):
-        # The batched backend licenses (or falls back) against the
-        # same scalar code artifact the compiled path runs.
+    if backend == "compiled":
         code = service.codegen(program.flat, env=program.env,
                                digest=program.digest, opt_level=opt_level)
     sim = Simulator(program.flat, host, env=program.env,
@@ -249,6 +242,44 @@ def _run_lifecycle(program: CompiledProgram, ticks: int,
     names = state_names(program.flat)
     return _result_from_host("lifecycle", current.host, display,
                              current.engine.snapshot(names))
+
+
+def _run_cohort(program: CompiledProgram, ticks: int,
+                service: CompilerService,
+                rng: random.Random) -> List[RunResult]:
+    """Cohort schedule: two software tenants of one supervisor tick
+    seeded prefixes of different lengths on scalar engines, join one
+    cohort from their scalar snapshots, tick in lockstep through tick
+    banking (checkpointing lanes), dissolve back onto scalar engines
+    and finish.  One result per tenant, or one not-applicable result
+    for a program without a vector licence."""
+    from ..hypervisor import Supervisor
+
+    try:
+        service.batch(program.flat, env=program.env, digest=program.digest)
+    except BatchUnsupported as exc:
+        return [RunResult(path="batched", not_applicable=str(exc))]
+    supervisor = Supervisor([Hypervisor(DE10, compiler=service)],
+                            checkpoint_every=rng.randint(2, 6))
+    tenants = [supervisor.admit(f"fz-lane-{i}", program, software=True)
+               for i in range(2)]
+    # Lanes join within the first half and stay for at least half of
+    # what remains, so most programs get a real lockstep stretch.
+    joined = rng.randint(0, ticks // 2)
+    left = rng.randint((joined + ticks + 1) // 2, ticks)
+    for tenant in tenants:
+        tenant.runtime.tick(rng.randint(0, joined))
+    supervisor.form_cohorts()
+    supervisor.run_all(left - joined, form=False)  # dissolves on exit
+    names = state_names(program.flat)
+    results = []
+    for i, tenant in enumerate(tenants):
+        supervisor.run(tenant.name, ticks - tenant.runtime.ticks)
+        runtime = tenant.runtime
+        results.append(_result_from_host(
+            f"batched[{i}]", runtime.host, runtime.host.display_log,
+            runtime.engine.snapshot(names)))
+    return results
 
 
 def _run_crash(program: CompiledProgram, ticks: int,
@@ -444,8 +475,8 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
             runs.append((path, lambda: _run_sim(program, ticks, "compiled",
                                                 service)))
         elif path == "batched":
-            runs.append((path, lambda: _run_sim(program, ticks, "batched",
-                                                service)))
+            runs.append((path, lambda: _run_cohort(
+                program, ticks, service, random.Random(lifecycle_seed))))
         elif path == "board":
             runs.append((path, lambda: _run_board(program, ticks, service)))
         elif path == "crash":
@@ -459,13 +490,15 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
                 program, ticks, service, random.Random(lifecycle_seed))))
     for name, runner in runs:
         try:
-            results[name] = runner()
+            outcome = runner()
         except Exception as exc:  # noqa: BLE001 — recorded, compared below
-            results[name] = RunResult(path=name,
-                                      error=f"{type(exc).__name__}: {exc}")
+            outcome = RunResult(path=name,
+                                error=f"{type(exc).__name__}: {exc}")
+        for result in outcome if isinstance(outcome, list) else [outcome]:
+            results[result.path] = result
     reference = results["interp"]
     mismatches: List[Mismatch] = []
-    for name, _ in runs:
-        if name != "interp":
-            mismatches.extend(_compare(reference, results[name]))
+    for name, result in results.items():
+        if name != "interp" and result.not_applicable is None:
+            mismatches.extend(_compare(reference, result))
     return Report(label, ticks, results, mismatches)

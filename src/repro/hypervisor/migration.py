@@ -46,13 +46,16 @@ def resume(runtime: Runtime, context: Context) -> float:
     ``Runtime(..., quiet_boot=True)`` so its initial-block side effects
     (boot ``$display`` output, file IO) are not replayed before the
     context overwrites its state — the suspended program already
-    emitted them on the instance it is migrating from.
+    emitted them on the instance it is migrating from.  The context's
+    partial ``$write`` line moves with it, so the destination's next
+    ``$display`` ends that line.
     """
     reconfig = (
         runtime.backend.device.reconfig_seconds
         if runtime.backend is not None else 0.0
     )
     runtime.restore_context(context)
+    runtime.host.pending_line = context.pending_line
     cost = runtime.costs.restore_seconds(
         runtime.program.state.total_bits, reconfig
     )
@@ -78,6 +81,7 @@ def rehydrate(context: Context, name: str, clock: str = "clock",
     runtime.sim_time = start_time
     runtime.restore_context(context)
     runtime.host.display_log[:] = list(context.display_log)
+    runtime.host.pending_line = context.pending_line
     return runtime
 
 

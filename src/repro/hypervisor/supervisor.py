@@ -92,7 +92,7 @@ class Supervisor:
         self.migrations: List[MigrationReport] = []
         self.quarantines = 0
         self._next_key = 1  #: ring keys survive engine-id reuse across hosts
-        #: live vector cohorts (same-digest software tenants, §batched)
+        #: live vector cohorts (same-digest software tenants)
         self.cohorts: List[CohortEngine] = []
         self.cohorts_formed = 0
         #: counters accumulated from dissolved cohorts
@@ -273,7 +273,7 @@ class Supervisor:
             return remaining
         return min(self.checkpoint_every, remaining)
 
-    # -- cohort scheduling (batched backend) -----------------------------------
+    # -- cohort scheduling (vector cohorts) ------------------------------------
 
     def form_cohorts(self, min_size: int = 2,
                      names: Optional[List[str]] = None) -> int:

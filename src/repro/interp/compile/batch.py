@@ -1,4 +1,4 @@
-"""Batched vectorized backend: one compiled program over N tenant lanes.
+"""Vector cohorts: one compiled program over N tenant lanes.
 
 The hypervisor's steady state is many tenants of one design: the
 artifact store already shares a single :class:`CompiledModuleCode`
@@ -6,7 +6,10 @@ between them, but each engine still advances one Python dispatch per
 tenant per tick.  This module adds the next sharing level — *execution*
 — by compiling the module once into NumPy closures over a
 ``(n_scalars, N)`` uint64 state matrix, so one dispatch advances the
-whole cohort.
+whole cohort.  Cohorts are the only entry point:
+:class:`~repro.runtime.cohort.CohortEngine` joins same-digest software
+tenants as lanes (supervisor cohort formation), and there is no
+single-lane simulator backend — at N=1 a vector dispatch never pays.
 
 Licensing.  Vectorization piggybacks on the mid-end's two-state
 specialization: a module qualifies only when its scalar code artifact
@@ -16,9 +19,9 @@ rank-order sweep settles it), plans a single free-running
 ``tick_clock`` (every edge process on one bare clock) and has no other
 sensitivity, and every declared width fits a 64-bit lane.  Anything
 else — or any construct outside the vector subset ($random, file I/O,
-...) — raises :class:`BatchUnsupported` and the caller falls back to
-the scalar compiled backend, keeping behavior identical by
-construction.
+...) — makes :func:`vectorize` return a :class:`BatchRefusal`, and
+the tenants stay on their scalar compiled engines, keeping behavior
+identical by construction.
 
 Divergence.  Lanes may disagree on ``if``/``case`` arms, ``$display``
 arguments and ``$finish`` ticks.  Control flow is handled by boolean
@@ -32,13 +35,13 @@ Equivalence contract.  Every closure mirrors one clause of
 :class:`~repro.interp.eval_expr.Evaluator` / the scalar tick in
 ``compile/simulator.py`` — including the quirks (shift>4096 → 0,
 division by zero → all-ones, float-truncating signed division, the
-64-iteration exponent clamp).  The differential fuzz oracle runs this
-backend as its own lane to keep that contract honest.
+64-iteration exponent clamp).  The differential fuzz oracle's
+``batched`` path forms a two-lane cohort mid-run to keep that contract
+honest.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 try:
@@ -48,11 +51,9 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 from ...verilog import ast_nodes as ast
 from ...verilog.width import WidthError, const_eval, mask, to_signed
-from ..eval_expr import EvalError, Evaluator
 from ..simulator import (
     _MAX_LOOP_ITERATIONS,
     _MAX_SETTLE_ROUNDS,
-    InterpSimulator,
     SimulationError,
 )
 from ..systasks import TaskHost, output_format, render_output
@@ -62,13 +63,13 @@ from .simulator import CompiledModuleCode, CompiledSimulator
 HAVE_NUMPY = np is not None
 
 _NUMPY_HINT = (
-    "backend='batched' requires NumPy; install the optional extra with "
-    "`pip install -e .[batch]` or select a scalar backend"
+    "vector cohorts require NumPy; install the optional extra with "
+    "`pip install -e .[batch]` (tenants keep their scalar engines)"
 )
 
 
 class UnsupportedBackend(RuntimeError):
-    """``backend='batched'`` was requested but NumPy is unavailable."""
+    """A vector cohort was requested but NumPy is unavailable."""
 
 
 class BatchUnsupported(Exception):
@@ -1055,10 +1056,9 @@ class _VectorCompiler:
                     text if text is not None else int(vec[lane])
                     for text, vec in rendered])
                 if append:
-                    st.wbuf[lane] += line
+                    st.hosts[lane].write(line)
                 else:
-                    st.hosts[lane].display(st.wbuf[lane] + line)
-                    st.wbuf[lane] = ""
+                    st.hosts[lane].display(line)
 
         return output
 
@@ -1167,14 +1167,12 @@ class BatchedCohort:
         self.times = np.zeros(0, dtype=np.uint64)
         self.lanes = np.zeros(0, dtype=np.intp)
         self.hosts: List[TaskHost] = []
-        self.wbuf: List[str] = []
         self.misc: List[Dict[str, int]] = []
         self.nba: List[tuple] = []
         self.queue: List[int] = []
         self.qmask: Dict[int, "np.ndarray"] = {}
         self.need_sweep = False
         self.stmts_executed = 0
-        self.settle_rounds = 0
         self.divergence = 0
 
     # -- lane membership ---------------------------------------------------
@@ -1213,7 +1211,6 @@ class BatchedCohort:
         self.alive_all = bool(self.alive.all())
         self.times = np.append(self.times, np.uint64(scalar.time))
         self.hosts.append(host)
-        self.wbuf.append(scalar._write_buffer)
         self.misc.append(dict(scalar.store._misc))
         self.n += 1
         self.lanes = np.arange(self.n, dtype=np.intp)
@@ -1230,7 +1227,6 @@ class BatchedCohort:
         self.alive_all = bool(self.alive.all())
         self.times = np.delete(self.times, lane)
         self.hosts.pop(lane)
-        self.wbuf.pop(lane)
         self.misc.pop(lane)
         self.n -= 1
         self.lanes = np.arange(self.n, dtype=np.intp)
@@ -1249,14 +1245,8 @@ class BatchedCohort:
                 out[name] = [int(v) for v in memory[lane]]
         return out
 
-    def restore_lane(self, lane: int, snapshot: Dict[str, object],
-                     prime: bool = False) -> None:
-        """Mirror of ``SlotStore.restore`` for one lane.
-
-        With ``prime`` set, edge re-detection is suppressed and the
-        trigger history is re-primed from the restored clock value —
-        the ``Simulator.restore_state`` contract (no spurious edges).
-        """
+    def restore_lane(self, lane: int, snapshot: Dict[str, object]) -> None:
+        """Mirror of ``SlotStore.restore`` for one lane."""
         for name, value in snapshot.items():
             if name in self.mems and isinstance(value, list):
                 _, word_mask, mem_slot, depth = self.layout.mem_specs[name]
@@ -1268,10 +1258,7 @@ class BatchedCohort:
                 if self.batch.comb_in[mem_slot]:
                     self.need_sweep = True
             elif name in self.layout.slot_of:
-                self.set_value(name, int(value), lane=lane,
-                               detect_edges=not prime)
-        if prime:
-            self.prev[:, lane] = self.d[self.batch.clock_slot, lane]
+                self.set_value(name, int(value), lane=lane)
 
     def get_value(self, name: str, lane: int) -> int:
         slot = self.layout.slot_of.get(name)
@@ -1284,9 +1271,9 @@ class BatchedCohort:
         raise KeyError(f"unknown signal {name!r}")
 
     def set_value(self, name: str, value: int, lane: Optional[int] = None,
-                  notify: bool = True, detect_edges: bool = True,
                   lane_mask=None) -> bool:
-        """Store-API write; mirrors ``SlotStore.set`` + eager drain.
+        """Store-API write to *lane* (or the lanes of *lane_mask*);
+        mirrors ``SlotStore.set`` + eager drain.
 
         The scalar store marks the slot dirty and the scheduler drains
         it into need-sweep / edge firings at the next settle; values
@@ -1295,7 +1282,7 @@ class BatchedCohort:
         """
         slot = self.layout.slot_of.get(name)
         if slot is None:
-            return self._set_misc(name, value, lane, notify)
+            return self._set_misc(name, value, lane)
         new = np.uint64(int(value) & self.layout.mask_of[name])
         row = self.d[slot]
         sel = lane_mask if lane_mask is not None else self._lane_mask(lane)
@@ -1303,22 +1290,18 @@ class BatchedCohort:
         if not changed.any():
             return False
         np.copyto(row, new, where=changed, casting="unsafe")
-        if notify:
-            if self.batch.comb_in[slot]:
-                self.need_sweep = True
-            if slot == self.batch.clock_slot:
-                self._fire_clock_edges(changed, detect_edges)
+        if self.batch.comb_in[slot]:
+            self.need_sweep = True
+        if slot == self.batch.clock_slot:
+            self._fire_clock_edges(changed)
         return True
 
-    def _lane_mask(self, lane: Optional[int]):
-        if lane is None:
-            return np.ones(self.n, dtype=bool)
+    def _lane_mask(self, lane: int):
         sel = np.zeros(self.n, dtype=bool)
         sel[lane] = True
         return sel
 
-    def _set_misc(self, name: str, value: int, lane: Optional[int],
-                  notify: bool) -> bool:
+    def _set_misc(self, name: str, value: int, lane: Optional[int]) -> bool:
         sig = self.env.signal(name)  # raises WidthError when undeclared
         new = int(value) & ((1 << sig.width) - 1)
         lanes = range(self.n) if lane is None else (lane,)
@@ -1327,52 +1310,27 @@ class BatchedCohort:
             if self.misc[i].get(name) != new:
                 self.misc[i][name] = new
                 changed = True
-        if changed and notify:
+        if changed:
             mem_slot = self.layout.mem_slot_of.get(name)
             if mem_slot is not None and self.batch.comb_in[mem_slot]:
                 self.need_sweep = True
         return changed
 
-    def _fire_clock_edges(self, changed, detect_edges: bool) -> None:
+    def _fire_clock_edges(self, changed) -> None:
         value_row = self.d[self.batch.clock_slot]
         for k, proc, edge in self.batch.clock_entries:
             prev = self.prev[k]
-            if detect_edges:
-                if edge == "posedge":
-                    fired = changed & ((prev & _U1) == _U0) & \
-                        ((value_row & _U1) == _U1)
-                elif edge == "negedge":
-                    fired = changed & ((prev & _U1) == _U1) & \
-                        ((value_row & _U1) == _U0)
-                else:
-                    fired = changed & (prev != value_row)
-                if fired.any():
-                    self._enqueue(proc, fired)
+            if edge == "posedge":
+                fired = changed & ((prev & _U1) == _U0) & \
+                    ((value_row & _U1) == _U1)
+            elif edge == "negedge":
+                fired = changed & ((prev & _U1) == _U1) & \
+                    ((value_row & _U1) == _U0)
+            else:
+                fired = changed & (prev != value_row)
+            if fired.any():
+                self._enqueue(proc, fired)
             np.copyto(prev, value_row, where=changed, casting="unsafe")
-
-    def mem_get_value(self, name: str, addr: int, lane: int) -> int:
-        base, _, _, depth = self.layout.mem_specs[name]
-        idx = addr - base
-        if 0 <= idx < depth:
-            return int(self.mems[name][lane, idx])
-        return 0
-
-    def mem_set_value(self, name: str, addr: int, value: int,
-                      lane: Optional[int] = None, notify: bool = True) -> bool:
-        base, word_mask, mem_slot, depth = self.layout.mem_specs[name]
-        idx = addr - base
-        if not 0 <= idx < depth:
-            return False
-        new = np.uint64(int(value) & word_mask)
-        column = self.mems[name][:, idx]
-        sel = self._lane_mask(lane)
-        changed = sel & (column != new)
-        if not changed.any():
-            return False
-        np.copyto(column, new, where=changed, casting="unsafe")
-        if notify and self.batch.comb_in[mem_slot]:
-            self.need_sweep = True
-        return True
 
     # -- scheduling core ---------------------------------------------------
 
@@ -1399,7 +1357,6 @@ class BatchedCohort:
         # to its signal width), not an anomaly worth a RuntimeWarning.
         with np.errstate(over="ignore"):
             while self.need_sweep or self.queue:
-                self.settle_rounds += 1
                 runs += 1
                 if runs > limit:
                     raise SimulationError(
@@ -1489,15 +1446,7 @@ class BatchedCohort:
                                   casting="unsafe")
                         if fired is not None and fired.any():
                             self._enqueue(proc, fired)
-                self.settle()
-                guard = 0
-                while self.nba:
-                    guard += 1
-                    if guard > _MAX_SETTLE_ROUNDS:
-                        raise SimulationError(
-                            "update region did not converge")
-                    self.latch()
-                    self.settle()
+                self.step()
             # Lanes that finished *during* this tick still advance their
             # clock, matching the scalar FinishSignal-then-increment.
             self.times[started] += _U1
@@ -1515,229 +1464,24 @@ class BatchedCohort:
             self.times[started] += _U1
 
 
-class _LaneStore:
-    """Store-ABI adapter over one cohort lane (the facade's ``store``)."""
+class BatchRefusal:
+    """The vector licence's "no": the other arm of :func:`vectorize`,
+    interned by the compiler service like the closures it replaces."""
 
-    def __init__(self, cohort: BatchedCohort, lane: int = 0):
-        self.cohort = cohort
-        self.lane = lane
-        self.env = cohort.env
-        self.slot_of = cohort.layout.slot_of
-        self.mem_slot_of = cohort.layout.mem_slot_of
-        self._watchers: List[Callable[[str], None]] = []
+    __slots__ = ("reason",)
 
-    @property
-    def values(self) -> Dict[str, int]:
-        cohort, lane = self.cohort, self.lane
-        out = {name: int(cohort.d[slot, lane])
-               for name, slot in self.slot_of.items()}
-        out.update(cohort.misc[lane])
-        return out
-
-    @property
-    def memories(self) -> Dict[str, List[int]]:
-        cohort, lane = self.cohort, self.lane
-        return {name: [int(v) for v in memory[lane]]
-                for name, memory in cohort.mems.items()}
-
-    def add_watcher(self, fn: Callable[[str], None]) -> None:
-        self._watchers.append(fn)
-
-    def _notify(self, name: str) -> None:
-        for fn in self._watchers:
-            fn(name)
-
-    def get(self, name: str) -> int:
-        return self.cohort.get_value(name, self.lane)
-
-    def set(self, name: str, value: int, notify: bool = True) -> bool:
-        changed = self.cohort.set_value(name, value, lane=self.lane,
-                                        notify=notify)
-        if changed and notify and self._watchers:
-            self._notify(name)
-        return changed
-
-    def mem_get(self, name: str, addr: int) -> int:
-        return self.cohort.mem_get_value(name, addr, self.lane)
-
-    def mem_set(self, name: str, addr: int, value: int,
-                notify: bool = True) -> bool:
-        changed = self.cohort.mem_set_value(name, addr, value,
-                                            lane=self.lane, notify=notify)
-        if changed and notify and self._watchers:
-            self._notify(name)
-        return changed
-
-    def snapshot(self, names: Optional[Iterable[str]] = None) -> Dict[str, object]:
-        return self.cohort.snapshot_lane(self.lane, names)
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        self.cohort.restore_lane(self.lane, snapshot)
-
-    def state_bits(self, names: Optional[Iterable[str]] = None) -> int:
-        """Total bits captured by :meth:`snapshot` (latency model)."""
-        selected = set(names) if names is not None else None
-        total = 0
-        for sig in self.env.signals.values():
-            if selected is not None and sig.name not in selected:
-                continue
-            if sig.is_memory:
-                total += sig.width * (sig.depth or 0)
-            else:
-                total += sig.width
-        return total
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-class BatchedSimulator:
-    """Single-lane simulator facade over a :class:`BatchedCohort`.
+def vectorize(code: CompiledModuleCode):
+    """The batch verdict for *code*: a :class:`BatchedModuleCode`, or a
+    :class:`BatchRefusal` when the module is outside the vector subset.
 
-    Presents the full scalar ``Simulator`` ABI (store, evaluator,
-    tick/step/run, save/restore) so runtimes, engines and the fuzz
-    oracle can select ``backend="batched"`` transparently; N=1 is just
-    the degenerate cohort.
+    Raises :class:`UnsupportedBackend` without NumPy: that says nothing
+    about the program, so it is never a verdict.
     """
-
-    backend = "batched"
-
-    def __init__(self, module: ast.Module, host: Optional[TaskHost] = None,
-                 env=None, code: Optional[CompiledModuleCode] = None,
-                 batch: Optional[BatchedModuleCode] = None):
-        if code is None:
-            code = batch.code if batch is not None else CompiledModuleCode(
-                module, env=env)
-        if batch is None:
-            batch = batch_code_for(code)
-        self.code = code
-        self.batch = batch
-        self.module = code.module
-        self.env = code.env
-        self.cohort = BatchedCohort(batch)
-        self.cohort.join(host if host is not None else TaskHost())
-        self.store = _LaneStore(self.cohort, 0)
-        self.evaluator = Evaluator(self.env, self.store, self._sysfunc)
-
-    @property
-    def host(self) -> TaskHost:
-        return self.cohort.hosts[0]
-
-    @host.setter
-    def host(self, value: TaskHost) -> None:
-        # Engines rebind ``sim.host`` after a quiet boot (the
-        # throwaway-host pattern); the cohort dispatches every task
-        # through its per-lane host list, so the lane must follow.
-        self.cohort.hosts[0] = value
-        self.cohort.alive[0] = not value.finished
-        self.cohort.alive_all = bool(self.cohort.alive.all())
-
-    # Reuse the interpreter's system-function servicing for the
-    # store-adapter evaluator ($time/$random/file I/O on this lane).
-    _sysfunc = InterpSimulator._sysfunc
-
-    @property
-    def time(self) -> int:
-        return int(self.cohort.times[0])
-
-    @time.setter
-    def time(self, value: int) -> None:
-        self.cohort.times[0] = np.uint64(value)
-
-    @property
-    def stmts_executed(self) -> int:
-        return self.cohort.stmts_executed
-
-    @property
-    def settle_rounds(self) -> int:
-        return self.cohort.settle_rounds
-
-    @property
-    def _write_buffer(self) -> str:
-        return self.cohort.wbuf[0]
-
-    def get(self, name: str) -> int:
-        return self.cohort.get_value(name, 0)
-
-    def set(self, name: str, value: int) -> bool:
-        return self.cohort.set_value(name, value, lane=0)
-
-    def evaluate(self) -> None:
-        self.cohort.settle()
-
-    def update(self) -> None:
-        self.cohort.latch()
-
-    def step(self) -> None:
-        self.cohort.step()
-
-    def settle(self) -> None:
-        self.cohort.settle()
-
-    def tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        self.cohort.sync_alive()
-        if clock == self.batch.clock:
-            self.cohort.tick(cycles)
-        else:
-            self.cohort.generic_tick(clock, cycles)
-
-    def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
-        cycles = 0
-        while not self.host.finished and cycles < max_cycles:
-            self.tick(clock)
-            cycles += 1
-        return cycles
-
-    def save_state(self) -> Dict[str, object]:
-        return {
-            "store": self.store.snapshot(),
-            "vfs": self.host.vfs.snapshot(),
-            "time": self.time,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.cohort.restore_lane(0, state["store"], prime=True)
-        self.host.vfs.restore(state["vfs"])
-        self.time = state["time"]
-
-
-_BATCH_MEMO: "weakref.WeakKeyDictionary[CompiledModuleCode, object]" = \
-    weakref.WeakKeyDictionary()
-
-
-def batch_code_for(code: CompiledModuleCode) -> BatchedModuleCode:
-    """Build (or fetch) the vector closures for *code*.
-
-    Memoized per code artifact — including the *failure*: an unlicensed
-    module re-raises its cached :class:`BatchUnsupported` without
-    re-walking the AST, so hot scalar-fallback paths stay cheap.
-    """
-    if np is None:
-        raise UnsupportedBackend(_NUMPY_HINT)
-    cached = _BATCH_MEMO.get(code)
-    if cached is None:
-        try:
-            cached = BatchedModuleCode(code)
-        except BatchUnsupported as exc:
-            cached = exc
-        _BATCH_MEMO[code] = cached
-    if isinstance(cached, BatchUnsupported):
-        raise BatchUnsupported(str(cached))
-    return cached
-
-
-def batched_simulator(module: ast.Module, host: Optional[TaskHost] = None,
-                      env=None, code: Optional[CompiledModuleCode] = None):
-    """Factory for ``backend="batched"``.
-
-    Returns a :class:`BatchedSimulator` when the module is licensed for
-    vectorization, and falls back to the scalar
-    :class:`CompiledSimulator` otherwise (same observable behavior).
-    Raises :class:`UnsupportedBackend` when NumPy is missing.
-    """
-    if np is None:
-        raise UnsupportedBackend(_NUMPY_HINT)
-    if code is None:
-        code = CompiledModuleCode(module, env=env)
     try:
-        batch = batch_code_for(code)
-    except BatchUnsupported:
-        return CompiledSimulator(module, host=host, code=code)
-    return BatchedSimulator(module, host=host, code=code, batch=batch)
+        return BatchedModuleCode(code)
+    except BatchUnsupported as exc:
+        return BatchRefusal(str(exc))

@@ -444,7 +444,6 @@ class CompiledSimulator(InterpSimulator):
         self.stmts_executed = 0
         self.settle_rounds = 0
         self._nba: List[tuple] = []
-        self._write_buffer = ""
         self._processes = code.processes  # shared, read-only
         self._fifo_mode = code.fifo_mode
         self._is_assign = code.is_assign

@@ -473,11 +473,8 @@ class ProcessCompiler:
             values = [repr(arg.value) if isinstance(arg, ast.String)
                       else self.ec.compile(arg) for arg in value_args]
             text = f"FMT({fmt!r}, [{', '.join(values)}])"
-            if name == "$write":
-                self._emit(ind, f"S._write_buffer += {text}")
-            else:
-                self._emit(ind, f"S.host.display(S._write_buffer + {text})")
-                self._emit(ind, "S._write_buffer = ''")
+            method = "write" if name == "$write" else "display"
+            self._emit(ind, f"S.host.{method}({text})")
             return
         if name in ("$finish", "$stop"):
             self._count(ind, 1, expr_nodes(args[0]) if args else 0)

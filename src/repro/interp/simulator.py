@@ -101,7 +101,6 @@ class InterpSimulator:
         self._dirty: Dict[str, None] = {}
         self._run_queue: List[_Process] = []
         self._nba: List[Tuple[ast.Expr, int]] = []
-        self._write_buffer = ""
         self._processes: List[_Process] = []
         self._dep_map: Dict[str, List[_Process]] = {}
         self._build_processes()
@@ -435,11 +434,10 @@ class InterpSimulator:
     def _exec_systask(self, stmt: ast.SysTask) -> None:
         name = stmt.name
         if name in DISPLAY_TASKS:
-            self.host.display(self._write_buffer + self._format_args(stmt.args))
-            self._write_buffer = ""
+            self.host.display(self._format_args(stmt.args))
             return
         if name == "$write":
-            self._write_buffer += self._format_args(stmt.args)
+            self.host.write(self._format_args(stmt.args))
             return
         if name in ("$fdisplay", "$fwrite"):
             fd = self.evaluator.eval(stmt.args[0])
@@ -546,6 +544,9 @@ class InterpSimulator:
 #: the ``REPRO_SIM_BACKEND`` environment variable says otherwise.
 DEFAULT_BACKEND = "compiled"
 
+#: Every simulation backend the :func:`Simulator` factory builds.
+BACKENDS = ("interp", "compiled")
+
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """The backend name an optional *backend* argument resolves to.
@@ -554,9 +555,14 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     it mid-process — e.g. from a test's monkeypatch — takes effect for
     every simulator constructed afterwards.  Callers use this to decide
     whether building (or fetching) a shared codegen artifact is worth
-    it before invoking the :func:`Simulator` factory.
+    it before invoking the :func:`Simulator` factory.  A name outside
+    :data:`BACKENDS` raises :class:`ValueError`.
     """
-    return backend or os.environ.get("REPRO_SIM_BACKEND") or DEFAULT_BACKEND
+    choice = backend or os.environ.get("REPRO_SIM_BACKEND") or DEFAULT_BACKEND
+    if choice not in BACKENDS:
+        raise ValueError(f"unknown simulation backend {choice!r}; "
+                         f"choose from {', '.join(BACKENDS)}")
+    return choice
 
 
 def Simulator(module: ast.Module, host: Optional[TaskHost] = None,
@@ -578,15 +584,6 @@ def Simulator(module: ast.Module, host: Optional[TaskHost] = None,
     choice = resolve_backend(backend)
     if choice == "interp":
         return InterpSimulator(module, host, env)
-    if choice == "compiled":
-        from .compile.simulator import CompiledSimulator
+    from .compile.simulator import CompiledSimulator
 
-        return CompiledSimulator(module, host, env, code=code)
-    if choice == "batched":
-        # Vectorized cohort backend (single-lane facade here); raises
-        # UnsupportedBackend without NumPy and silently falls back to
-        # the scalar compiled engine for unlicensed modules.
-        from .compile.batch import batched_simulator
-
-        return batched_simulator(module, host, env=env, code=code)
-    raise ValueError(f"unknown simulation backend {choice!r}")
+    return CompiledSimulator(module, host, env, code=code)

@@ -107,7 +107,7 @@ def render_output(fmt: Optional[str], values: Sequence[object]) -> str:
     *fmt* and the order of *values* come from :func:`output_format`;
     *values* holds ``str`` for string literals and ``int`` for
     evaluated expressions.  Every engine (interpreter, compiled,
-    batched) and the hardware trap servicer render through here.
+    vector cohort) and the hardware trap servicer render through here.
     """
     if fmt is not None:
         return verilog_format(fmt, values)
@@ -122,6 +122,10 @@ class TaskHost:
         self.vfs = vfs if vfs is not None else VirtualFS()
         self.echo = echo
         self.display_log: List[str] = []
+        #: ``$write`` text not yet ended by a line-ending output task.
+        #: It lives here, not on an engine, so every engine, the trap
+        #: servicer and suspended contexts continue the same line.
+        self.pending_line = ""
         self.finished = False
         self.finish_code = 0
         self.yield_asserted = False
@@ -137,9 +141,17 @@ class TaskHost:
     # -- output tasks -------------------------------------------------------
 
     def display(self, text: str) -> None:
+        """End the current line with *text* and log it."""
+        if self.pending_line:
+            text = self.pending_line + text
+            self.pending_line = ""
         self.display_log.append(text)
         if self.echo:
             print(text)
+
+    def write(self, text: str) -> None:
+        """``$write``: extend the current line without ending it."""
+        self.pending_line += text
 
     # -- control tasks --------------------------------------------------------
 

@@ -6,8 +6,6 @@ simulation backend gets (read per call, like ``REPRO_SIM_BACKEND``):
 * ``0`` — no mid-end: the elaborated module is compiled 1:1 with the
   generic (dirty-bitset) scheduler, exactly the PR-1 backend.  This is
   the differential-fuzzing counterpart of the optimized pipelines.
-* ``1`` — scalar cleanups only: constant folding + propagation and
-  dead-code elimination, plus the specialized codegen licence.
 * ``2`` (default) — the full word-level pipeline: folding/propagation,
   alias forwarding, common-subexpression elimination, always-block
   fusion, dead-signal/dead-process elimination, and the two-state
@@ -39,16 +37,10 @@ DEFAULT_OPT_LEVEL = 2
 #: Revision of the specialized code generator; part of every
 #: fingerprint so stale code objects cannot be shared across builds
 #: that emit differently.
-_CODEGEN_REV = 5
+_CODEGEN_REV = 6
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),
-    1: (
-        ("const", passes.propagate_constants),
-        ("dce", passes.eliminate_dead),
-        ("two_state", passes.specialize_two_state),
-        ("gate", passes.detect_clock_gates),
-    ),
     2: (
         ("const", passes.propagate_constants),
         ("alias", passes.forward_aliases),
@@ -66,16 +58,15 @@ def resolve_opt_level(level: Optional[int] = None) -> int:
     """The effective optimization level for an optional override.
 
     Explicit argument wins; otherwise ``REPRO_OPT_LEVEL`` (read per
-    call so tests can monkeypatch it); otherwise the default.  Values
-    are clamped to the known levels.
+    call so tests can monkeypatch it); otherwise the default.  Any
+    value other than a known level raises :class:`ValueError`.
     """
     if level is None:
-        raw = os.environ.get("REPRO_OPT_LEVEL", "")
-        try:
-            level = int(raw) if raw != "" else DEFAULT_OPT_LEVEL
-        except ValueError:
-            level = DEFAULT_OPT_LEVEL
-    return max(0, min(int(level), max(_PIPELINES)))
+        level = os.environ.get("REPRO_OPT_LEVEL", "") or DEFAULT_OPT_LEVEL
+    if str(level) not in map(str, _PIPELINES):
+        raise ValueError(f"unknown optimization level {level!r}; choose "
+                         f"from {' or '.join(map(str, _PIPELINES))}")
+    return int(level)
 
 
 def pipeline_fingerprint(level: Optional[int] = None) -> str:
@@ -97,8 +88,8 @@ class OptResult:
     env: WidthEnv
     level: int
     fingerprint: str
-    #: True when the two-state specialization licence was granted (or
-    #: level 1's shallow pipeline ran it); None at level 0.
+    #: True when the two-state specialization licence was granted;
+    #: None at level 0.
     two_state: Optional[bool]
     #: pass name -> rewrites performed
     pass_counts: Dict[str, int] = field(default_factory=dict)

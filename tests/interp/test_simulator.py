@@ -373,3 +373,20 @@ class TestStateCapture:
         clone.restore_state(snap)
         clone.step()
         assert clone.get("n") == 2  # no phantom increment
+
+
+class TestBackendSelection:
+    """The factory builds exactly the interpreter and compiled backends."""
+
+    SRC = "module m(input wire clock); reg [7:0] n = 0; endmodule"
+
+    def test_unknown_backend_argument_names_valid_backends(self):
+        flat = flatten(parse(self.SRC), "m")
+        with pytest.raises(ValueError, match="interp, compiled"):
+            Simulator(flat, TaskHost(VirtualFS()), backend="batched")
+
+    def test_unknown_backend_variable_names_valid_backends(self, monkeypatch):
+        flat = flatten(parse(self.SRC), "m")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
+        with pytest.raises(ValueError, match="interp, compiled"):
+            Simulator(flat, TaskHost(VirtualFS()))

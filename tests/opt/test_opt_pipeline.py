@@ -14,7 +14,9 @@ from repro.compiler import ArtifactStore, CompilerService
 from repro.compiler.service import KIND_CODEGEN, KIND_OPT
 from repro.fuzz import generate, state_names
 from repro.interp import Simulator, TaskHost
-from repro.opt import Design, optimize_module, pipeline_fingerprint
+from repro.opt import (
+    Design, optimize_module, pipeline_fingerprint, resolve_opt_level,
+)
 from repro.opt import passes as P
 from repro.verilog import flatten, parse, print_module
 
@@ -149,8 +151,16 @@ class TestServiceIntegration:
         assert service.store.count(KIND_OPT) == 2
 
     def test_fingerprints_distinct_per_level(self):
-        prints = {pipeline_fingerprint(level) for level in (0, 1, 2)}
-        assert len(prints) == 3
+        prints = {pipeline_fingerprint(level) for level in (0, 2)}
+        assert len(prints) == 2
+
+    @pytest.mark.parametrize("level", [1, 3, -1])
+    def test_unknown_levels_raise(self, level, monkeypatch):
+        with pytest.raises(ValueError, match="choose from 0 or 2"):
+            resolve_opt_level(level)
+        monkeypatch.setenv("REPRO_OPT_LEVEL", str(level))
+        with pytest.raises(ValueError, match="choose from 0 or 2"):
+            resolve_opt_level()
 
     def test_opt_levels_share_one_engine_behaviour(self):
         """O0 and O2 engines of one program agree bit-for-bit."""

@@ -1,10 +1,11 @@
-"""Batched backend tests: vector lanes vs the scalar backends.
+"""Vector cohort tests: cohort lanes vs the scalar backends.
 
 Covers the differential contract (bit-for-bit state, ``$display``
 ordering and per-lane ``$finish`` against interp/compiled), the
-cohort lane lifecycle (join/leave/snapshot and the
-extract → suspend → resume → rejoin round trip), the NumPy-optional
-degradation paths, and the supervisor's cohort scheduling.
+cohort lane lifecycle (join/leave/snapshot/restore and the
+extract → suspend → resume → rejoin round trip), the batch verdict and
+NumPy-optional degradation paths, and the supervisor's cohort
+scheduling.
 """
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.compiler.service import CompilerService
-from repro.core import compile_program
 from repro.fabric.device import F1
 from repro.hypervisor import Hypervisor, Supervisor
 from repro.hypervisor.migration import resume, suspend
@@ -20,8 +20,7 @@ from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile import CompiledSimulator
 from repro.interp.compile import batch as batch_mod
 from repro.interp.compile.batch import (
-    BatchedCohort, BatchedSimulator, UnsupportedBackend, batch_code_for,
-    batched_simulator,
+    BatchedCohort, BatchedModuleCode, BatchUnsupported, UnsupportedBackend,
 )
 from repro.runtime import Runtime, SoftwareEngine
 from repro.runtime.cohort import CohortEngine, CohortError, CohortLaneEngine
@@ -79,6 +78,43 @@ def lane_state(sim):
     return sim.store.snapshot()
 
 
+def run_cohort(source, ticks, lanes=2):
+    """*lanes* fresh lanes of one cohort, ticked together.
+
+    O2 is pinned: vector licensing needs the two-state specialized
+    plan, which the ambient ``REPRO_OPT_LEVEL=0`` CI leg would deny.
+    """
+    service = CompilerService()
+    program = service.compile_program(source)
+    cohort = BatchedCohort(service.batch(program.flat, env=program.env,
+                                         digest=program.digest, opt_level=2))
+    hosts = [TaskHost(VirtualFS()) for _ in range(lanes)]
+    for host in hosts:
+        cohort.join(host)
+    cohort.tick(ticks)
+    return cohort, hosts
+
+
+#: A purely sequential module: no combinational cone, so no licence.
+SEQ_ONLY = """
+module seqonly(clock);
+  input wire clock;
+  reg [7:0] n;
+  initial n = 0;
+  always @(posedge clock) begin
+    n <= n + 1;
+    if (n == 5) $display("n=%0d", n);
+  end
+endmodule
+"""
+
+
+def no_numpy(monkeypatch):
+    monkeypatch.setattr(batch_mod, "np", None)
+    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+    monkeypatch.setattr("repro.serve.fleet.HAVE_NUMPY", False)
+
+
 @pytest.fixture
 def at_o2(monkeypatch):
     """Pin O2: vector licensing needs the two-state specialized plan,
@@ -91,13 +127,19 @@ class TestDifferential:
     def test_state_display_finish_parity(self, finish_at, ticks):
         src = kitchen(finish_at)
         ref_sim, ref_host = run_backend(src, "interp", ticks)
-        for backend in ("compiled", "batched"):
-            sim, host = run_backend(src, backend, ticks)
-            assert lane_state(sim) == lane_state(ref_sim), backend
-            assert host.display_log == ref_host.display_log, backend
-            assert host.finished == ref_host.finished, backend
-            assert host.finish_code == ref_host.finish_code, backend
-            assert sim.time == ref_sim.time, backend
+        sim, host = run_backend(src, "compiled", ticks)
+        assert lane_state(sim) == lane_state(ref_sim)
+        assert host.display_log == ref_host.display_log
+        assert (host.finished, host.finish_code) == \
+            (ref_host.finished, ref_host.finish_code)
+        assert sim.time == ref_sim.time
+        cohort, hosts = run_cohort(src, ticks)
+        for lane, host in enumerate(hosts):
+            assert cohort.snapshot_lane(lane) == lane_state(ref_sim), lane
+            assert host.display_log == ref_host.display_log, lane
+            assert (host.finished, host.finish_code) == \
+                (ref_host.finished, ref_host.finish_code), lane
+            assert int(cohort.times[lane]) == ref_sim.time, lane
 
     @pytest.mark.usefixtures("at_o2")
     def test_per_lane_finish_at_different_ticks(self):
@@ -105,7 +147,7 @@ class TestDifferential:
         scalar run, and dead lanes must stop advancing."""
         flat = flatten(parse(kitchen(40)), "kitchen")
         code = CompiledSimulator(flat).code
-        cohort = BatchedCohort(batch_code_for(code))
+        cohort = BatchedCohort(BatchedModuleCode(code))
         finishes = [5, 12, 40, 40]
         hosts = []
         for at in finishes:
@@ -138,7 +180,7 @@ class TestDifferential:
         """Each lane's display stream equals its scalar twin's."""
         flat = flatten(parse(kitchen(40)), "kitchen")
         code = CompiledSimulator(flat).code
-        cohort = BatchedCohort(batch_code_for(code))
+        cohort = BatchedCohort(BatchedModuleCode(code))
         hosts = [TaskHost(VirtualFS()) for _ in range(3)]
         for host in hosts:
             cohort.join(host)
@@ -150,50 +192,118 @@ class TestDifferential:
             assert host.display_log == ref_host.display_log
 
 
-class TestFacade:
-    def test_save_restore_roundtrip(self):
-        src = kitchen(100)
-        sim, host = run_backend(src, "batched", 7)
-        saved = sim.save_state()
-        sim.tick(cycles=5)
-        after_12 = lane_state(sim)
-        sim.restore_state(saved)
-        assert lane_state(sim) == saved["store"]
-        sim.tick(cycles=5)
-        assert lane_state(sim) == after_12
-        assert sim.time == 12
+@pytest.mark.usefixtures("at_o2")
+class TestCohortEdges:
+    def _supervisor(self, source, n=2):
+        sup = Supervisor([Hypervisor(F1)], checkpoint_every=4)
+        for i in range(n):
+            sup.admit(f"t{i}", source, software=True)
+        return sup
 
-    def test_unlicensed_module_falls_back_to_compiled(self):
-        # Pure sequential modules (no comb layer) are outside the
-        # licensed plan → the factory silently yields the scalar sim.
-        src = """
-        module seqonly(clock);
-          input wire clock;
-          reg [7:0] n;
-          initial n = 0;
-          always @(posedge clock) n <= n + 1;
-        endmodule
-        """
-        flat = flatten(parse(src), "seqonly")
-        sim = batched_simulator(flat, TaskHost(VirtualFS()), None, None)
-        assert isinstance(sim, CompiledSimulator)
-        assert not isinstance(sim, BatchedSimulator)
+    def test_lane_save_restore_roundtrip(self):
+        """A lane restored from its own snapshot replays identically,
+        and the restore leaves the other lane alone."""
+        service = CompilerService()
+        program = service.compile_program(kitchen(100))
+        engine = CohortEngine(program, compiler=service)
+        a = engine.admit(TaskHost(VirtualFS()))
+        b = engine.admit(TaskHost(VirtualFS()))
+
+        def lockstep(ticks):
+            for _ in range(ticks):
+                a.run_tick("clock")
+                b.run_tick("clock")
+
+        lockstep(7)
+        saved = a.snapshot()
+        lockstep(5)
+        after_12 = a.snapshot()
+        b_after_12 = b.snapshot()
+        a.restore(saved)
+        assert a.snapshot() == saved
+        assert b.snapshot() == b_after_12
+        for _ in range(5):
+            a.run_tick("clock")  # b banks these; its state moves too
+        assert a.snapshot() == after_12
+        assert a.time == 17 and b.banked == 5
+
+    def test_unlicensed_program_stays_scalar(self):
+        """No licence: formation leaves the scalar engines in place,
+        the verdict is interned, and the run matches scalar twins."""
+        sup = self._supervisor(SEQ_ONLY)
+        twins = self._supervisor(SEQ_ONLY)
+        assert sup.form_cohorts() == 0
+        assert sup.cohorts == []
+        assert all(isinstance(t.runtime.engine, SoftwareEngine)
+                   for t in sup.tenants.values())
+        lead = sup.tenants["t0"].runtime
+        assert lead.compiler.batch_refused(lead.program.digest)
+        sup.run_all(12)
+        for name in twins.tenants:
+            twins.run(name, 12)
+            ours = sup.tenants[name].runtime
+            assert ours.host.display_log == \
+                twins.tenants[name].runtime.host.display_log
+            assert ours.engine.snapshot() == \
+                twins.tenants[name].runtime.engine.snapshot()
 
     def test_unsupported_without_numpy(self, monkeypatch):
-        flat = flatten(parse(kitchen(40)), "kitchen")
-        code = CompiledSimulator(flat).code
-        monkeypatch.setattr(batch_mod, "np", None)
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-        with pytest.raises(UnsupportedBackend):
-            batch_code_for(code)
-        with pytest.raises(UnsupportedBackend):
-            batched_simulator(flat, TaskHost(VirtualFS()), None, code)
+        from repro.compiler import ArtifactStore
 
-    def test_hypervisor_degrades_to_compiled_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.interp.compile.batch.HAVE_NUMPY", False)
-        hv = Hypervisor(F1, sim_backend="batched")
-        assert hv.sim_backend == "compiled"
+        # A private store: a shared one may already hold the closures.
+        service = CompilerService(ArtifactStore())
+        program = service.compile_program(kitchen(40))
+        no_numpy(monkeypatch)
+        with pytest.raises(UnsupportedBackend):
+            service.batch(program.flat, env=program.env,
+                          digest=program.digest)
+        with pytest.raises(UnsupportedBackend):
+            CohortEngine(program, compiler=service)
+        # a missing NumPy is not a verdict on the program
+        assert not service.batch_refused(program.digest)
+
+    def test_supervisor_stays_scalar_without_numpy(self, monkeypatch):
+        from repro.serve import Fleet
+
+        no_numpy(monkeypatch)
+        sup = self._supervisor(kitchen(25))
+        assert sup.form_cohorts() == 0
+        sup.run_all(10)
+        assert all(isinstance(t.runtime.engine, SoftwareEngine)
+                   for t in sup.tenants.values())
+        fleet = Fleet([Hypervisor(F1)])
+        fleet.admit_job("t0", kitchen(25), digest="d")
+        assert fleet.cohort_refused("t0")
+        assert fleet.form_cohorts(["t0"]) == 0
+
+
+class TestBatchVerdict:
+    def test_refusal_is_decided_once_per_store(self, tmp_path):
+        from repro.compiler import ArtifactStore, DiskArtifactStore
+
+        disk = DiskArtifactStore(tmp_path)
+        service = CompilerService(ArtifactStore(disk=disk))
+        program = service.compile_program(SEQ_ONLY)
+        built = []
+        real = batch_mod.BatchedModuleCode
+
+        def counting(code):
+            built.append(code)
+            return real(code)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batch_mod, "BatchedModuleCode", counting)
+            for _ in range(3):
+                with pytest.raises(BatchUnsupported):
+                    service.batch(program.flat, env=program.env,
+                                  digest=program.digest)
+        assert len(built) == 1
+        stats = service.store.stats("batch")
+        assert (stats.misses, stats.hits) == (1, 2)
+        assert service.batch_refused(program.digest)
+        # refusals stay out of the disk tier and are no warmth
+        assert disk.count("batch") == 0
+        assert not service.warmth(program.digest)["batch"]
 
 
 def _perfbench_design_pool():

@@ -1,6 +1,9 @@
 """Fleet placement, pooling, rebalancing, recovery and telemetry."""
 
 import asyncio
+from collections import Counter
+
+import pytest
 
 from repro.compiler.service import CompilerService
 from repro.fabric.errors import FabricError
@@ -73,6 +76,59 @@ class TestPlacement:
         fleet.release("one")  # the board slot is free again...
         # ...but the third same-digest job pools with "two" instead.
         assert fleet.admit_job("three", APP, digest) == "software"
+
+
+#: A counter with no combinational cone: never licensed for a cohort.
+SEQ_APP = """
+module seqapp(input wire clock);
+  reg [15:0] n;
+  initial n = 0;
+  always @(posedge clock) begin
+    n <= n + 1;
+    if (n % 9 == 0) $display("n=%0d", n);
+    if (n == 40) $finish;
+  end
+endmodule
+"""
+
+
+class TestCohortLicensing:
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="cohorts need NumPy")
+    def test_served_batch_asks_for_each_verdict_once(self, service,
+                                                     monkeypatch):
+        """Repeated quiescence sweeps reuse the first batch verdict:
+        an unlicensed digest is probed once, not once per sweep."""
+        # Pin O2: APP's licence needs the two-state specialized plan.
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+        calls = Counter()
+        real = CompilerService.batch
+
+        def counting(self, module, env=None, digest=None, **kwargs):
+            calls[digest] += 1
+            return real(self, module, env=env, digest=digest, **kwargs)
+
+        monkeypatch.setattr(CompilerService, "batch", counting)
+        fleet = make_fleet(service, boards=1, board_capacity=0,
+                           cohorts=True, cohort_min_size=2)
+        config = ServeConfig(max_running=8, quantum_ticks=4,
+                             quiescence_every=1,
+                             priorities={"normal": 1.0})
+        seq_twin = solo_run(SEQ_APP)
+
+        async def main():
+            async with ServeFrontend(fleet, config) as fe:
+                handles = [await fe.submit(source, name=f"{label}-{i}")
+                           for i in range(4)
+                           for label, source in (("seq", SEQ_APP),
+                                                 ("app", APP))]
+                results = [await h.result() for h in handles]
+                return results, fe.stats()["fleet"]["cohorts"]["formed"]
+
+        results, formed = asyncio.run(main())
+        assert formed >= 1  # APP's group vectorized
+        assert len(calls) == 2 and max(calls.values()) == 1
+        for result in results[0::2]:
+            assert_twin(result, seq_twin)
 
 
 class TestRebalance:
